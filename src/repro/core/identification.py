@@ -8,6 +8,23 @@ the classic grow-from-seed search with convexity and I/O pruning, bounded
 by ``max_size`` and a per-block candidate cap so that even large unrolled
 blocks enumerate in reasonable time.
 
+The cut predicates run on the block's bitset index
+(:class:`~repro.ir.dataflow.BlockIndex`, built once per dataflow graph),
+not on rescans of the block.  Each cut carries an integer mask with one
+bit per instruction, which is also its deduplication key.  Convexity is
+one test per successor leaving the cut (no descendant of it may lie
+inside), and inputs and outputs come from a per-block def-use index and
+a live-out set computed once, instead of rescanning the block and the
+function for every cut (the fast-enumeration idea of Atasu, Pozzi &
+Ienne, DAC 2003, and of Chen, Maskell & Sun, TCAD 2007).
+
+The search order itself is kept on purpose.  ``Instruction`` hashes by
+``id()``, so the order in which a cut's neighbour set is iterated follows
+object addresses; that order fixes the order of the returned cuts, the
+tie-breaks among equally ranked candidates and, in blocks that reach
+``max_candidates_per_block``, which cuts are kept.  The index only makes
+each step cheaper; it visits the same cuts in the same order.
+
 Identical computations found at different sites (or in different programs)
 are merged by the patterns' canonical signatures, and each candidate
 accumulates its occurrence list with the execution frequency of the
@@ -23,7 +40,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 from ..arch.machine import MachineDescription
 from ..arch.operations import classify
 from ..ir import (
-    BasicBlock, Function, Instruction, Module, build_dataflow_graph,
+    BasicBlock, Constant, Function, Instruction, Module, build_dataflow_graph,
     estimate_block_frequencies,
 )
 from .patterns import Pattern, pattern_from_cut
@@ -103,63 +120,65 @@ def enumerate_block_cuts(block: BasicBlock,
 
     Returns ``(cut, dfg)`` tuples.  The search grows connected subgraphs
     from each seed node by repeatedly adding dataflow neighbours, pruning
-    non-convex or port-infeasible subgraphs, and deduplicating by node-id
-    frozensets.
+    non-convex or port-infeasible subgraphs, and deduplicating by the
+    cuts' bitmasks in the graph's :class:`~repro.ir.dataflow.BlockIndex`.
     """
     dfg = build_dataflow_graph(block)
     fusable = _fusable_nodes(dfg)
     if len(fusable) < config.min_size:
         return []
     fusable_set = set(fusable)
+    index = dfg.index
+    bit = index.bit
+    # Fusable neighbours of each node: predecessors, then successors, in
+    # the graph's adjacency order (the order the search adds them in).
+    adjacent = {
+        inst: [other for other in dfg.predecessors(inst) + dfg.successors(inst)
+               if other in fusable_set]
+        for inst in fusable
+    }
 
     results: List[Tuple[Set[Instruction], object]] = []
-    seen: Set[frozenset] = set()
+    seen: Set[int] = set()
 
-    def io_feasible(cut: Set[Instruction]) -> bool:
-        inputs = dfg.subgraph_inputs(cut)
-        outputs = dfg.subgraph_outputs(cut)
+    def io_feasible(cut: Set[Instruction], mask: int) -> bool:
+        inputs = index.inputs(cut, mask)
+        outputs = index.outputs(cut, mask)
         return (len([v for v in inputs if not _is_constant(v)]) <= config.max_inputs
                 and len(outputs) <= config.max_outputs and len(outputs) >= 1)
 
-    def neighbours(cut: Set[Instruction]) -> Set[Instruction]:
+    def neighbours(cut: Set[Instruction], mask: int) -> Set[Instruction]:
         candidates: Set[Instruction] = set()
         for inst in cut:
-            for pred in dfg.predecessors(inst):
-                if pred in fusable_set and pred not in cut:
-                    candidates.add(pred)
-            for succ in dfg.successors(inst):
-                if succ in fusable_set and succ not in cut:
-                    candidates.add(succ)
+            for other in adjacent[inst]:
+                if not bit[other] & mask:
+                    candidates.add(other)
         return candidates
 
     for seed in fusable:
-        frontier: List[Set[Instruction]] = [{seed}]
+        frontier: List[Tuple[Set[Instruction], int]] = [({seed}, bit[seed])]
         while frontier and len(results) < config.max_candidates_per_block:
-            cut = frontier.pop()
-            key = frozenset(id(inst) for inst in cut)
-            if key in seen:
+            cut, mask = frontier.pop()
+            if mask in seen:
                 continue
-            seen.add(key)
+            seen.add(mask)
             if len(cut) > config.max_size:
                 continue
-            if not dfg.is_convex(cut):
+            if not index.is_convex(cut, mask):
                 continue
-            if len(cut) >= config.min_size and io_feasible(cut):
+            if len(cut) >= config.min_size and io_feasible(cut, mask):
                 results.append((set(cut), dfg))
             if len(cut) < config.max_size:
-                for extra in neighbours(cut):
-                    grown = cut | {extra}
-                    grown_key = frozenset(id(inst) for inst in grown)
-                    if grown_key not in seen:
-                        frontier.append(grown)
+                for extra in neighbours(cut, mask):
+                    grown_mask = mask | bit[extra]
+                    if grown_mask not in seen:
+                        frontier.append((cut | {extra}, grown_mask))
         if len(results) >= config.max_candidates_per_block:
             break
     return results
 
 
 def _is_constant(value) -> bool:
-    from ..ir import Constant
-
     return isinstance(value, Constant)
 
 

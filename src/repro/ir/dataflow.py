@@ -18,7 +18,7 @@ Edges are:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 import networkx as nx
 
@@ -29,10 +29,19 @@ from .values import Value, VirtualRegister
 
 @dataclass
 class DataflowGraph:
-    """The dependence graph of one basic block."""
+    """The dependence graph of one basic block.
+
+    The cut predicates (:meth:`is_convex`, :meth:`subgraph_inputs`,
+    :meth:`subgraph_outputs`) run on :attr:`index`, which is built on first
+    use from a snapshot of the block and of its function's other blocks
+    (for live-out registers).  Do not reuse a graph after mutating its
+    function: build a new one.
+    """
 
     block: BasicBlock
     graph: nx.DiGraph = field(default_factory=nx.DiGraph)
+    _index: Optional[BlockIndex] = field(
+        default=None, init=False, repr=False, compare=False)
 
     @property
     def nodes(self) -> List[Instruction]:
@@ -50,6 +59,13 @@ class DataflowGraph:
             (u, v) for u, v, kind in self.graph.edges(data="kind") if kind == "flow"
         ]
 
+    @property
+    def index(self) -> BlockIndex:
+        """The bitset index of this graph's block, built on first use."""
+        if self._index is None:
+            self._index = BlockIndex(self)
+        return self._index
+
     def is_convex(self, subset: Set[Instruction]) -> bool:
         """True if no path leaves ``subset`` and re-enters it.
 
@@ -57,87 +73,18 @@ class DataflowGraph:
         into a single custom operation: if a path escapes and returns, the
         fused operation would need its own result before it finished.
         """
-        if not subset:
-            return True
-        outside_reachable: Set[Instruction] = set()
-        # For every edge subset -> outside, find what is reachable from the
-        # outside node; if any subset node is reachable, the cut is not convex.
-        for node in subset:
-            for succ in self.graph.successors(node):
-                if succ not in subset:
-                    outside_reachable.add(succ)
-        seen: Set[Instruction] = set()
-        stack = list(outside_reachable)
-        while stack:
-            node = stack.pop()
-            if node in seen:
-                continue
-            seen.add(node)
-            if node in subset:
-                return False
-            stack.extend(self.graph.successors(node))
-        return True
+        index = self.index
+        return index.is_convex(subset, index.mask(subset))
 
     def subgraph_inputs(self, subset: Set[Instruction]) -> List[Value]:
         """Distinct values consumed by ``subset`` but produced outside it."""
-        produced = {inst.dest for inst in subset if inst.dest is not None}
-        inputs: List[Value] = []
-        seen = set()
-        for inst in subset:
-            for op in inst.operands:
-                if isinstance(op, VirtualRegister) and op in produced:
-                    continue
-                key = op.id if isinstance(op, VirtualRegister) else (str(op), str(op.type))
-                if key not in seen:
-                    seen.add(key)
-                    inputs.append(op)
-        return inputs
+        index = self.index
+        return index.inputs(subset, index.mask(subset))
 
     def subgraph_outputs(self, subset: Set[Instruction]) -> List[VirtualRegister]:
         """Registers produced in ``subset`` that are used outside it (or live out)."""
-        produced = {inst.dest: inst for inst in subset if inst.dest is not None}
-        used_inside: Dict[VirtualRegister, int] = {}
-        for inst in subset:
-            for op in inst.uses():
-                used_inside[op] = used_inside.get(op, 0) + 1
-
-        outputs: List[VirtualRegister] = []
-        live_out = self._live_out_registers()
-        for reg, inst in produced.items():
-            external_use = False
-            for other in self.block.instructions:
-                if other in subset:
-                    continue
-                if reg in other.uses():
-                    external_use = True
-                    break
-            if external_use or reg in live_out:
-                outputs.append(reg)
-        return outputs
-
-    def _live_out_registers(self) -> Set[VirtualRegister]:
-        """Registers defined in this block and possibly read by other blocks."""
-        defined = {
-            inst.dest for inst in self.block.instructions if inst.dest is not None
-        }
-        function = self.block.function
-        if function is None:
-            return set()
-        live: Set[VirtualRegister] = set()
-        for block in function.blocks:
-            if block is self.block:
-                continue
-            for inst in block.instructions:
-                for reg in inst.uses():
-                    if reg in defined:
-                        live.add(reg)
-        # A register used by this block's own terminator also counts.
-        term = self.block.terminator
-        if term is not None:
-            for reg in term.uses():
-                if reg in defined:
-                    live.add(reg)
-        return live
+        index = self.index
+        return index.outputs(subset, index.mask(subset))
 
     def critical_path_length(self, latency_of) -> int:
         """Length (in cycles) of the longest dependence chain.
@@ -154,6 +101,135 @@ class DataflowGraph:
             finish[inst] = start + latency_of(inst)
             longest = max(longest, finish[inst])
         return longest
+
+
+class BlockIndex:
+    """A bitset view of one block, built once from a snapshot of it.
+
+    Every instruction of the block (terminator included) owns the bit
+    ``1 << position``, so a cut is an ``int`` mask and each cut predicate
+    becomes a few bitwise operations instead of a rescan of the block:
+
+    * convexity: a cut is convex iff no successor outside it has a
+      descendant inside it (``desc[s] & mask == 0``).  The strict
+      descendant mask of every node is computed once, in reverse
+      topological order.
+    * outputs: a register defined in the cut leaves it iff a user outside
+      the cut reads it (``users[reg.id] & ~mask``) or it is live out of
+      the block.
+    * inputs: an operand is internal iff the cut defines its register.
+
+    The predicates iterate the caller's ``subset`` in its own order, as
+    the per-cut scans they replace did, so results come in the same order.
+    """
+
+    __slots__ = ("bit", "succs", "desc", "users", "live_out", "operands")
+
+    def __init__(self, dfg: DataflowGraph) -> None:
+        block = dfg.block
+        graph = dfg.graph
+        self.bit: Dict[Instruction, int] = {
+            inst: 1 << position for position, inst in enumerate(block.instructions)
+        }
+        bit = self.bit
+
+        #: successor mask per graph node; strict-descendant mask per node bit.
+        self.succs: Dict[Instruction, int] = {}
+        self.desc: Dict[int, int] = {}
+        for node in reversed(list(nx.topological_sort(graph))):
+            succs = 0
+            below = 0
+            for succ in graph.successors(node):
+                succs |= bit[succ]
+                below |= self.desc[bit[succ]]
+            self.succs[node] = succs
+            self.desc[bit[node]] = succs | below
+
+        #: reg.id -> mask of the block's instructions that read it.
+        self.users: Dict[int, int] = {}
+        defs: Dict[int, int] = {}
+        for inst in block.instructions:
+            for reg in inst.uses():
+                self.users[reg.id] = self.users.get(reg.id, 0) | bit[inst]
+            if inst.dest is not None:
+                defs[inst.dest.id] = defs.get(inst.dest.id, 0) | bit[inst]
+
+        #: per instruction: (operand, dedup key, mask of its in-block defs).
+        self.operands: Dict[Instruction, Tuple[Tuple[Value, object, int], ...]] = {}
+        for inst in block.instructions:
+            entries = []
+            for op in inst.operands:
+                if isinstance(op, VirtualRegister):
+                    entries.append((op, op.id, defs.get(op.id, 0)))
+                else:
+                    entries.append((op, (str(op), str(op.type)), 0))
+            self.operands[inst] = tuple(entries)
+
+        #: ids of registers defined here and possibly read by other blocks
+        #: or by this block's own terminator.
+        self.live_out: Set[int] = set()
+        function = block.function
+        if function is not None:
+            readers = [inst for other in function.blocks if other is not block
+                       for inst in other.instructions]
+            if block.terminator is not None:
+                readers.append(block.terminator)
+            for inst in readers:
+                for reg in inst.uses():
+                    if reg.id in defs:
+                        self.live_out.add(reg.id)
+
+    def mask(self, subset: Iterable[Instruction]) -> int:
+        """The bitmask of ``subset``."""
+        bit = self.bit
+        mask = 0
+        for inst in subset:
+            mask |= bit[inst]
+        return mask
+
+    def is_convex(self, subset: Iterable[Instruction], mask: int) -> bool:
+        """:meth:`DataflowGraph.is_convex` of ``subset`` (whose mask is ``mask``)."""
+        succs = self.succs
+        outside = 0
+        for inst in subset:
+            outside |= succs[inst]
+        outside &= ~mask
+        desc = self.desc
+        while outside:
+            low = outside & -outside
+            if desc[low] & mask:
+                return False
+            outside ^= low
+        return True
+
+    def inputs(self, subset: Iterable[Instruction], mask: int) -> List[Value]:
+        """:meth:`DataflowGraph.subgraph_inputs` of ``subset``."""
+        operands = self.operands
+        inputs: List[Value] = []
+        seen = set()
+        for inst in subset:
+            for op, key, defs in operands[inst]:
+                if defs & mask or key in seen:
+                    continue
+                seen.add(key)
+                inputs.append(op)
+        return inputs
+
+    def outputs(self, subset: Iterable[Instruction], mask: int) -> List[VirtualRegister]:
+        """:meth:`DataflowGraph.subgraph_outputs` of ``subset``."""
+        users = self.users
+        live_out = self.live_out
+        outside = ~mask
+        outputs: List[VirtualRegister] = []
+        seen = set()
+        for inst in subset:
+            reg = inst.dest
+            if reg is None or reg.id in seen:
+                continue
+            seen.add(reg.id)
+            if users.get(reg.id, 0) & outside or reg.id in live_out:
+                outputs.append(reg)
+        return outputs
 
 
 def build_dataflow_graph(block: BasicBlock,

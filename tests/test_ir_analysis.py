@@ -171,11 +171,14 @@ class TestDataflowGraph:
         dfg = build_dataflow_graph(body)
         nodes = [i for i in body.non_terminator_instructions() if i.is_fusable()]
         assert dfg.is_convex(set(nodes[:1]))
-        # A producer and a transitive consumer without the middle node is
-        # non-convex whenever a path escapes and re-enters.
-        sub = next(i for i in nodes if i.opcode is Opcode.SUB)
-        select = next(i for i in nodes if i.opcode is Opcode.SELECT)
-        assert not dfg.is_convex({sub, select}) or dfg.is_convex({sub, select})
+        # |a - b| is sub -> (cmplt, neg) -> select: the pair without the
+        # middle nodes is non-convex (sub -> cmplt -> select leaves the cut
+        # and re-enters it); the whole chain is convex.
+        sub, cmplt, neg, select = (
+            next(i for i in nodes if i.opcode is opcode)
+            for opcode in (Opcode.SUB, Opcode.CMPLT, Opcode.NEG, Opcode.SELECT))
+        assert not dfg.is_convex({sub, select})
+        assert dfg.is_convex({sub, cmplt, neg, select})
 
     def test_inputs_and_outputs_of_cut(self, sad_module):
         function = sad_module.get_function("sad16")
