@@ -12,7 +12,8 @@ a 100+ kernel population (fixed seed, 5 scenario families) with
 * **characterize** — static (op histograms, ILP bound) and dynamic
   (memory/branch fractions) features, aggregated per family;
 * **customize** — per-family customization gain through the standard
-  ``Evaluator``/``BatchEvaluator`` path on a 4-issue baseline.
+  ``Evaluator``/``BatchEvaluator`` path on a 4-issue baseline, at trace
+  fidelity (cache-modelled, identical to cycle fidelity here).
 
 Results land in ``BENCH_generated_population.json`` at the repo root.
 ``GEN_POPULATION`` (env) shrinks the population for CI smoke runs.
@@ -59,8 +60,7 @@ def test_e11_generated_population(benchmark):
         with population:
             validated = population.validate(pipeline=pipeline)
             report = population.report(
-                budget=BUDGET_KGATES, engine="compiled",
-                opt_level=OPT_LEVEL,
+                budget=BUDGET_KGATES, opt_level=OPT_LEVEL,
                 kernels_per_family=KERNELS_PER_FAMILY_GAIN,
                 pipeline=pipeline)
 

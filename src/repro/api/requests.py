@@ -34,9 +34,7 @@ from ..arch.machine import MachineDescription
 from ..arch.presets import PRESETS, get_preset
 from ..dse.explorer import OBJECTIVES
 from ..dse.space import DesignPoint, DesignSpace
-from ..exec.registry import (
-    EVALUATION_ENGINES, FIDELITY_LEVELS, FUNCTIONAL_ENGINES,
-)
+from ..exec.registry import FIDELITY_LEVELS, FUNCTIONAL_ENGINES
 from ..gen.application import APP_TOPOLOGIES
 from ..gen.spec import FAMILIES
 
@@ -296,8 +294,8 @@ class RunRequest(Message):
     #: ("interpreter" / "compiled" / "native": value + instruction
     #: counts only).
     engine: str = "cycle"
-    #: run the kernel over N argument sets (seeds ``seed..seed+N-1``)
-    #: through the :func:`repro.exec.run_batch` cascade instead of one
+    #: run the kernel over N argument sets (seeds ``seed..seed+N-1``),
+    #: one fresh functional simulator per set, instead of one
     #: oracle-checked execution; functional engines only.
     batch: Optional[int] = None
 
@@ -357,8 +355,6 @@ class ExploreRequest(Message):
     size: Optional[int] = None
     seed: Optional[int] = None
     opt_level: Optional[int] = None
-    #: evaluation engine: "cycle" or "compiled" (session default if None).
-    engine: Optional[str] = None
     #: timing-model fidelity: "cycle" or "trace" (session default if None).
     fidelity: Optional[str] = None
     #: screen at trace fidelity and re-score the Pareto frontier at cycle
@@ -390,7 +386,6 @@ class ExploreRequest(Message):
             raise ValueError(
                 f"unknown objective '{self.objective}'; options: "
                 f"{', '.join(OBJECTIVES)}")
-        _check_engine(self.engine, EVALUATION_ENGINES, "evaluation")
         _check_engine(self.fidelity, FIDELITY_LEVELS, "fidelity")
         if self.space is not None:
             unknown = set(self.space) - set(SPACE_AXES)
@@ -451,7 +446,6 @@ class PopulationRequest(Message):
     seed: int = 0
     families: Optional[List[str]] = None
     budget_kgates: float = 32.0
-    engine: str = "compiled"
     size: Optional[int] = None
     opt_level: Optional[int] = None
     kernels_per_family: int = 3
@@ -470,7 +464,6 @@ class PopulationRequest(Message):
                 raise ValueError(
                     f"unknown families {sorted(unknown)}; options: "
                     f"{', '.join(FAMILIES)}")
-        _check_engine(self.engine, EVALUATION_ENGINES, "evaluation")
         if self.kernels_per_family < 1:
             raise ValueError("kernels_per_family must be at least 1")
 
@@ -568,8 +561,9 @@ class RunResponse(Message):
     ipc: float = 0.0
     instructions: int = 0
     #: batched runs: how many argument sets ran (0 = single run), which
-    #: tier of the run_batch cascade actually executed them ("native",
-    #: "vector", "compiled" or "interpreter"), and the per-set values.
+    #: functional engine actually executed them ("native", "compiled" or
+    #: "interpreter"; "native" degrades to "compiled" without a C
+    #: compiler), and the per-set values.
     batch: int = 0
     batch_engine: str = ""
     values: List[object] = field(default_factory=list)

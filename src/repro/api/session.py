@@ -27,8 +27,7 @@ Work enters a session one of three ways:
 A process-wide **default session** (:func:`default_session`) keeps the
 pre-session API working: ``Toolchain()``, ``run_matrix()``,
 ``Evaluator()`` and friends fall back to its pipeline when none is
-injected, exactly as they used to fall back to the (now deprecated)
-``global_compile_pipeline()``.
+injected.
 """
 
 from __future__ import annotations
@@ -83,7 +82,6 @@ class Session:
                  store: Optional[ArtifactStore] = None,
                  cache_dir: Optional[str] = None,
                  engine: Optional[str] = None,
-                 evaluation_engine: str = "cycle",
                  fidelity: str = "cycle",
                  opt_level: int = 2, unroll_factor: int = 4,
                  seed: int = 1234, size: Optional[int] = None,
@@ -96,7 +94,6 @@ class Session:
             # touching call sites; see the README engine matrix.
             engine = os.environ.get("REPRO_ENGINE") or "interpreter"
         validate_engine(engine, "functional")
-        validate_engine(evaluation_engine, "evaluation")
         validate_engine(fidelity, "fidelity")
         if pipeline is not None:
             if store is not None and store is not pipeline.store:
@@ -115,8 +112,6 @@ class Session:
         self.name = name or f"session-{next(_SESSION_COUNTER)}"
         #: default functional engine (run_reference, matrix cross-checks).
         self.engine = engine
-        #: default Evaluator measurement engine for design-space work.
-        self.evaluation_engine = evaluation_engine
         #: default timing-model fidelity ("cycle" simulates every design
         #: point; "trace" profiles once and retimes analytically).
         self.fidelity = fidelity
@@ -176,7 +171,6 @@ class Session:
     def evaluator(self, mix, *, size: Optional[int] = None,
                   opt_level: Optional[int] = None,
                   seed: Optional[int] = None,
-                  engine: Optional[str] = None,
                   fidelity: Optional[str] = None):
         """A :class:`~repro.dse.Evaluator` on this session's pipeline."""
         from ..dse.objectives import Evaluator
@@ -187,14 +181,12 @@ class Session:
         return Evaluator(
             mix, size=self._size(size), opt_level=self._opt(opt_level),
             seed=self._seed(seed),
-            engine=engine if engine is not None else self.evaluation_engine,
             fidelity=fidelity if fidelity is not None else self.fidelity,
             pipeline=self.pipeline)
 
     def app_evaluator(self, mix, *, size: Optional[int] = None,
                       opt_level: Optional[int] = None,
                       seed: Optional[int] = None,
-                      engine: Optional[str] = None,
                       fidelity: Optional[str] = None):
         """An :class:`~repro.dse.AppEvaluator` on this session's pipeline.
 
@@ -217,7 +209,6 @@ class Session:
         return AppEvaluator(
             mix, size=self._size(size), opt_level=self._opt(opt_level),
             seed=self._seed(seed),
-            engine=engine if engine is not None else self.evaluation_engine,
             fidelity=fidelity if fidelity is not None else self.fidelity,
             pipeline=self.pipeline)
 
@@ -368,21 +359,6 @@ class Session:
     def jobs(self) -> List[Job]:
         return list(self._jobs)
 
-    def stats(self) -> Dict[str, Dict[str, object]]:
-        """Deprecated: per-stage store counters in the legacy dict shape.
-
-        The numbers come straight from the session's metrics registry
-        (they are the same ``store_*`` series ``python -m repro stats``
-        exports); prefer :meth:`metrics` for the typed snapshot.
-        """
-        import warnings
-
-        warnings.warn(
-            "Session.stats() is deprecated; use Session.metrics() (typed "
-            "registry snapshot) or session.store.stats_dict()",
-            DeprecationWarning, stacklevel=2)
-        return self.store.stats_dict()
-
     def metrics(self) -> Dict[str, object]:
         """A snapshot of the session's metrics registry.
 
@@ -408,7 +384,6 @@ class Session:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"Session({self.name!r}, engine={self.engine!r}, "
-                f"evaluation_engine={self.evaluation_engine!r}, "
                 f"jobs={len(self._jobs)})")
 
     # ------------------------------------------------------------------
@@ -482,7 +457,7 @@ class Session:
             unroll_factor=self.unroll_factor)
 
         if request.batch:
-            from ..exec.vector import run_batch
+            from ..exec.native import NativeSimulator
 
             seed = self._seed(request.seed)
             size = self._size(request.size)
@@ -490,18 +465,27 @@ class Session:
                         for lane in range(request.batch)]
             expected_values = [kernel.expected(arg_set)
                                for arg_set in arg_sets]
-            result = run_batch(
-                module, kernel.entry,
-                [_run_args(arg_set) for arg_set in arg_sets],
-                engine=request.engine, store=self.store)
+            values, instructions = [], 0
+            for arg_set in arg_sets:
+                simulator = make_functional_simulator(
+                    module, engine=request.engine, cache=self.code_cache,
+                    store=self.store)
+                values.append(simulator.run(kernel.entry, *_run_args(arg_set)))
+                instructions += simulator.profile.instructions_executed
+            # "native" degrades to "compiled" without a C compiler;
+            # report the engine that actually ran.
+            batch_engine = request.engine
+            if batch_engine == "native" and not isinstance(simulator,
+                                                           NativeSimulator):
+                batch_engine = "compiled"
             return RunResponse(
                 kernel=kernel.name, machine=machine.name,
                 engine=request.engine,
-                correct=result.values == expected_values,
-                value=result.values[0], expected=expected_values[0],
-                instructions=sum(result.instructions),
-                batch=request.batch, batch_engine=result.engine_used,
-                values=result.values,
+                correct=values == expected_values,
+                value=values[0], expected=expected_values[0],
+                instructions=instructions,
+                batch=request.batch, batch_engine=batch_engine,
+                values=values,
                 provenance=self._provenance(request.engine, started, records))
 
         simulator = make_functional_simulator(
@@ -554,28 +538,24 @@ class Session:
         from ..dse.space import DesignSpace
 
         started = time.perf_counter()
-        engine = (request.engine if request.engine is not None
-                  else self.evaluation_engine)
         fidelity = (request.fidelity if request.fidelity is not None
                     else self.fidelity)
         if request.rescore:
             # Screening always happens at trace fidelity when re-scoring.
             fidelity = "trace"
-        if fidelity == "trace" and not request.rescore:
-            # The trace path always profiles with the threaded-code
-            # engine; report what actually runs, not the ignored selector.
-            # (In rescore mode the frontier re-scoring *does* use the
-            # requested evaluation engine, so that label stands.)
-            engine = "compiled"
+        # The engine behind the reported numbers: the threaded-code
+        # profiler of a pure trace sweep, else the cycle simulator.
+        engine = ("compiled" if fidelity == "trace" and not request.rescore
+                  else "cycle")
         if request.application is not None:
             evaluator = self.app_evaluator(
                 request.application, size=request.size,
                 opt_level=request.opt_level, seed=request.seed,
-                engine=engine, fidelity=fidelity)
+                fidelity=fidelity)
         else:
             evaluator = self.evaluator(
                 request.mix, size=request.size, opt_level=request.opt_level,
-                seed=request.seed, engine=engine, fidelity=fidelity)
+                seed=request.seed, fidelity=fidelity)
         explorer = self.explorer(evaluator, objective=request.objective,
                                  workers=request.workers,
                                  search_seed=request.search_seed)
@@ -657,8 +637,8 @@ class Session:
                     pipeline=self.pipeline)
                 valid = sum(validated.values())
             report = population.report(
-                budget=request.budget_kgates, engine=request.engine,
-                size=request.size, opt_level=opt_level,
+                budget=request.budget_kgates, size=request.size,
+                opt_level=opt_level,
                 kernels_per_family=request.kernels_per_family,
                 workers=(self.workers if request.workers is None
                          else request.workers),
@@ -666,7 +646,8 @@ class Session:
         return PopulationResponse(
             count=len(population), seed=request.seed,
             families=population.families(), valid=valid, report=report,
-            provenance=self._provenance(request.engine, started))
+            provenance=self._provenance("compiled", started,
+                                        fidelity="trace"))
 
     def _execute_app(self, request: AppRequest) -> AppResponse:
         from dataclasses import replace
@@ -731,9 +712,7 @@ def default_session() -> Session:
 
     This is what un-injected entry points (``Toolchain()`` without a
     pipeline, ``run_matrix`` and the workload helpers) share, so family
-    members built through any of them reuse one artifact store — the
-    behaviour the deprecated ``global_compile_pipeline()`` used to
-    provide.
+    members built through any of them reuse one artifact store.
     """
     global _DEFAULT_SESSION
     with _DEFAULT_LOCK:

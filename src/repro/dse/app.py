@@ -9,7 +9,7 @@ to *real-time* figures of merit — deadline-miss rate, p50/p95/p99
 window latency, jitter, and energy per window — weighted across the
 mix.  It deliberately exposes the same surface the rest of the DSE
 stack already consumes (``mix``/``size``/``opt_level``/``seed``/
-``engine``/``fidelity``/``evaluate``/``with_fidelity``), so
+``fidelity``/``evaluate``/``with_fidelity``), so
 :class:`~repro.dse.Explorer`, :class:`~repro.exec.batch.BatchEvaluator`
 memoization, service sharding and ``screen_then_rescore`` all work over
 applications unchanged.
@@ -19,11 +19,11 @@ customizes the machine against every node module of every application
 (weighted by the app's mix weight) before any window runs, exactly
 mirroring the kernel evaluator's private-library discipline.
 
-One deliberate mapping: the ``"cycle"`` *engine* selector runs node
-windows on the threaded-code engine with statically reduced timing (the
-cycle-accurate simulator models caches per run, which the per-window
-loop does not need for screening); ``fidelity="cycle"`` vs ``"trace"``
-keeps its usual execute-every-window vs price-once meaning.
+Node windows always execute on the threaded-code (``"compiled"``)
+engine.  ``fidelity="cycle"`` executes every window and times it
+statically from the schedule (no cache model: the per-window loop does
+not need one for screening); ``fidelity="trace"`` profiles each node
+once and prices it with the cache-modelling retimer.
 """
 
 from __future__ import annotations
@@ -160,9 +160,8 @@ class AppEvaluator:
 
     def __init__(self, mix: ApplicationMix, size: Optional[int] = None,
                  opt_level: int = 2, seed: int = 1234,
-                 engine: str = "compiled", fidelity: str = "cycle",
+                 fidelity: str = "cycle",
                  pipeline: Optional[CompilePipeline] = None) -> None:
-        validate_engine(engine, "evaluation")
         validate_engine(fidelity, "fidelity")
         self.mix = mix
         #: accepted for recipe compatibility with the kernel evaluator;
@@ -170,7 +169,6 @@ class AppEvaluator:
         self.size = size
         self.seed = seed
         self.opt_level = opt_level
-        self.engine = engine
         self.fidelity = fidelity
         if pipeline is not None:
             self.pipeline = pipeline
@@ -195,19 +193,13 @@ class AppEvaluator:
         evaluation cache keys content-addressed across processes."""
         return self.mix.to_json()
 
-    @property
-    def exec_engine(self) -> str:
-        """The functional engine node windows actually execute on."""
-        return "compiled" if self.engine == "cycle" else self.engine
-
     def with_fidelity(self, fidelity: str) -> "AppEvaluator":
         """This evaluator's recipe at another fidelity (shared pipeline)."""
         if fidelity == self.fidelity:
             return self
         return AppEvaluator(self.mix, size=self.size,
                             opt_level=self.opt_level, seed=self.seed,
-                            engine=self.engine, fidelity=fidelity,
-                            pipeline=self.pipeline)
+                            fidelity=fidelity, pipeline=self.pipeline)
 
     # ------------------------------------------------------------------
     def evaluate(self, machine: MachineDescription,
@@ -253,7 +245,7 @@ class AppEvaluator:
             for spec, weight in self.mix.applications():
                 try:
                     runner = AppRunner(
-                        spec, working_machine, engine=self.exec_engine,
+                        spec, working_machine, engine="compiled",
                         opt_level=self.opt_level, fidelity=self.fidelity,
                         pipeline=self.pipeline,
                         modules={node.name: modules[(spec.name, node.name)]

@@ -9,9 +9,6 @@ This package is the performance tier of the simulation stack:
 * :mod:`repro.exec.native` — :class:`NativeSimulator`, the generated-C
   JIT tier: modules rendered to C, compiled on the fly and driven via
   ctypes, with ``.so`` artifacts shared through the artifact store;
-* :mod:`repro.exec.vector` — :class:`VectorizedSimulator`, a
-  NumPy-lockstep batch interpreter, plus :func:`run_batch`, the
-  native → vector → compiled cascade for many-argument-set workloads;
 * :mod:`repro.exec.cache` — a content-addressed code cache so structurally
   identical modules are translated once;
 * :mod:`repro.exec.batch` — :class:`BatchEvaluator`, parallel and
@@ -27,8 +24,7 @@ one warning when no C compiler exists); see
 """
 
 from .registry import (
-    ENGINE_KINDS, EVALUATION_ENGINES, FIDELITY_LEVELS, FUNCTIONAL_ENGINES,
-    validate_engine,
+    ENGINE_KINDS, FIDELITY_LEVELS, FUNCTIONAL_ENGINES, validate_engine,
 )
 from .batch import BatchEvaluator, BatchStats, EvaluatorSpec
 from .cache import (
@@ -46,13 +42,9 @@ from .native import (
     reset_global_native_cache, reset_native_toolchain,
 )
 from .translator import TranslatedProgram, translate_module
-from .vector import (
-    BatchResult, VectorizedSimulator, numpy_available, run_batch,
-)
 
 __all__ = [
-    "ENGINE_KINDS", "EVALUATION_ENGINES", "FIDELITY_LEVELS",
-    "FUNCTIONAL_ENGINES",
+    "ENGINE_KINDS", "FIDELITY_LEVELS", "FUNCTIONAL_ENGINES",
     "validate_engine",
     "BatchEvaluator", "BatchStats", "EvaluatorSpec",
     "CODE_STAGE", "CodeCache", "CodeCacheStats", "global_code_cache",
@@ -65,5 +57,4 @@ __all__ = [
     "global_native_cache", "global_native_toolchain", "native_available",
     "reset_global_native_cache", "reset_native_toolchain",
     "TranslatedProgram", "translate_module",
-    "BatchResult", "VectorizedSimulator", "numpy_available", "run_batch",
 ]

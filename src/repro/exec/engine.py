@@ -10,7 +10,7 @@ the interpreter remains the semantic oracle and the differential tests in
 workload suite.
 
 Engine selection elsewhere in the stack (``Toolchain(engine=...)``,
-``Evaluator(engine=...)``, ``run_kernel(engine=...)``) resolves through
+``run_matrix(engine=...)``, ``run_kernel(engine=...)``) resolves through
 :func:`make_functional_simulator`, so "interpreter", "compiled" and the
 generated-C "native" (:mod:`repro.exec.native`) are interchangeable
 functional-execution engines; "native" degrades to "compiled" with a

@@ -186,7 +186,7 @@ class WorkloadPopulation:
         return WorkloadMix(f"gen-{family}", {name: 1.0 for name in names})
 
     def customization_gain(self, family: str, budget: float = 32.0,
-                           engine: str = "compiled", size: Optional[int] = None,
+                           size: Optional[int] = None,
                            opt_level: int = 2, kernels_per_family: int = 3,
                            baseline=None, workers: int = 0,
                            pipeline=None) -> FamilyGain:
@@ -195,8 +195,8 @@ class WorkloadPopulation:
         Evaluates the family mix on ``baseline`` (a
         :class:`~repro.dse.space.DesignPoint`; 4-issue/64-reg default)
         with and without ``budget`` kgates of custom-datapath area,
-        through the standard batched evaluation path.  Requires the
-        population to be registered.
+        through the standard batched evaluation path at trace fidelity.
+        Requires the population to be registered.
         """
         from ..dse.objectives import Evaluator
         from ..dse.space import DesignPoint
@@ -204,7 +204,7 @@ class WorkloadPopulation:
 
         mix = self.family_mix(family, limit=kernels_per_family)
         evaluator = Evaluator(mix, size=size, opt_level=opt_level,
-                              seed=self.seed + 1, engine=engine,
+                              seed=self.seed + 1, fidelity="trace",
                               pipeline=pipeline)
         batch = BatchEvaluator(evaluator, workers=workers)
         base_point = (baseline if baseline is not None
@@ -227,7 +227,7 @@ class WorkloadPopulation:
             feasible=base.feasible and custom.feasible,
         )
 
-    def report(self, budget: float = 32.0, engine: str = "compiled",
+    def report(self, budget: float = 32.0,
                size: Optional[int] = None, opt_level: int = 2,
                kernels_per_family: int = 3, workers: int = 0,
                pipeline=None) -> Dict[str, object]:
@@ -248,7 +248,7 @@ class WorkloadPopulation:
         for family in self.families():
             members = by_family.get(family, [])
             gain = self.customization_gain(
-                family, budget=budget, engine=engine, size=size,
+                family, budget=budget, size=size,
                 opt_level=opt_level, kernels_per_family=kernels_per_family,
                 workers=workers, pipeline=pipeline)
             count = max(1, len(members))

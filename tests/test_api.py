@@ -36,7 +36,7 @@ from repro.arch import dsp_core, risc_baseline, vliw4
 from repro.dse import DesignSpace, Evaluator, Explorer
 from repro.frontend.c_frontend import CFrontendError
 from repro.gen import WorkloadPopulation
-from repro.pipeline import CompilePipeline, global_compile_pipeline
+from repro.pipeline import CompilePipeline
 from repro.toolchain import Toolchain, run_matrix
 from repro.workloads import get_kernel, get_mix
 
@@ -50,7 +50,7 @@ ALL_REQUESTS = [
     CustomizeRequest(kernel="viterbi_acs", machine="vliw4",
                      area_budget_kgates=24.0, max_operations=4, size=48),
     ExploreRequest(mix="video", strategy="annealing", objective="performance",
-                   size=24, engine="compiled", iterations=12,
+                   size=24, fidelity="trace", iterations=12,
                    space={"issue_widths": [1, 2], "register_counts": [32]}),
     MatrixRequest(machines=["vliw4", {"issue_width": 2, "registers": 32}],
                   kernels=["dot_product", "crc32"], size=16),
@@ -100,7 +100,7 @@ class TestRequestRoundTrips:
         golden = json.dumps({
             "kind": "explore", "schema_version": 1, "mix": "video",
             "strategy": "exhaustive", "objective": "perf_per_area",
-            "size": 16, "seed": None, "opt_level": None, "engine": None,
+            "size": 16, "seed": None, "opt_level": None,
             "fidelity": "trace", "rescore": True, "space": None,
             "search_seed": None, "iterations": 40, "max_rounds": 4,
             "workers": None, "application": None,
@@ -198,6 +198,16 @@ class TestRequestRoundTrips:
         data = RunRequest(kernel="crc32").to_dict()
         data["a_future_field"] = True
         assert request_from_dict(data) == RunRequest(kernel="crc32")
+        # Explore and population requests used to carry an evaluation
+        # engine; messages minted with one still parse.
+        explore = ExploreRequest(mix="video", size=16).to_dict()
+        explore["engine"] = "compiled"
+        assert request_from_dict(explore) == ExploreRequest(mix="video",
+                                                            size=16)
+        population = PopulationRequest(count=4, seed=3).to_dict()
+        population["engine"] = "native"
+        assert request_from_dict(population) == PopulationRequest(count=4,
+                                                                  seed=3)
 
     def test_unknown_kind_and_bad_version_rejected(self):
         with pytest.raises(SchemaError):
@@ -293,11 +303,6 @@ class TestSessionIsolation:
         toolchain = Toolchain(vliw4())
         assert toolchain.pipeline is session.pipeline
 
-    def test_global_pipeline_shim_is_deprecated_but_working(self):
-        with pytest.deprecated_call():
-            pipeline = global_compile_pipeline()
-        assert pipeline is default_session().pipeline
-
     def test_session_rejects_mismatched_store_and_pipeline(self):
         pipeline = CompilePipeline()
         from repro.pipeline import ArtifactStore
@@ -387,11 +392,9 @@ class TestSubmitEquivalence:
         with Session() as session:
             response = session.submit(ExploreRequest(
                 mix="video", strategy="exhaustive", objective="performance",
-                size=24, opt_level=2, seed=1234, engine="cycle",
-                space=axes)).result()
+                size=24, opt_level=2, seed=1234, space=axes)).result()
         evaluator = Evaluator(get_mix("video"), size=24, opt_level=2,
-                              seed=1234, engine="cycle",
-                              pipeline=CompilePipeline())
+                              seed=1234, pipeline=CompilePipeline())
         explorer = Explorer(evaluator, objective="performance")
         result = explorer.exhaustive(DesignSpace(
             **{axis: tuple(choices) for axis, choices in axes.items()}))
@@ -424,7 +427,7 @@ class TestSubmitEquivalence:
         population = WorkloadPopulation.generate(3, seed=11,
                                                  families=["reduction"])
         with population:
-            report = population.report(budget=16.0, engine="compiled",
+            report = population.report(budget=16.0,
                                        opt_level=2, kernels_per_family=3,
                                        pipeline=CompilePipeline())
         assert response.valid == 3
@@ -511,7 +514,7 @@ class TestDriverErrorPaths:
         with pytest.raises(ValueError):
             Session(engine="bogus")
         with pytest.raises(ValueError):
-            Session(evaluation_engine="bogus")
+            Session(fidelity="bogus")
 
 
 class TestMatrixEngineAndExports:
@@ -580,7 +583,6 @@ class TestAppExecution:
         spec = app_spec("chain")
         response = api_session.execute(ExploreRequest(
             application=spec.to_dict(), objective="deadline_miss_rate",
-            engine="compiled",
             space={"issue_widths": [1, 4], "register_counts": [32],
                    "cluster_counts": [1], "mul_unit_counts": [1],
                    "mem_unit_counts": [1], "custom_budgets": [0.0]}))

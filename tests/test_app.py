@@ -248,8 +248,7 @@ class TestAppEvaluator:
 
     def test_evaluate_produces_real_time_metrics(self, api_session):
         mix = ApplicationMix.single(seeded_application("chain"))
-        evaluator = AppEvaluator(mix, engine="compiled",
-                                 pipeline=api_session.pipeline)
+        evaluator = AppEvaluator(mix, pipeline=api_session.pipeline)
         evaluation = evaluator.evaluate(vliw4())
         assert isinstance(evaluation, AppEvaluation)
         assert evaluation.feasible
@@ -266,10 +265,10 @@ class TestAppEvaluator:
         fan_in = seeded_application("fan_in")
         heavy_chain = AppEvaluator(
             ApplicationMix("m", [(chain, 10.0), (fan_in, 1.0)]),
-            engine="compiled", pipeline=api_session.pipeline).evaluate(vliw4())
+            pipeline=api_session.pipeline).evaluate(vliw4())
         heavy_fan = AppEvaluator(
             ApplicationMix("m", [(chain, 1.0), (fan_in, 10.0)]),
-            engine="compiled", pipeline=api_session.pipeline).evaluate(vliw4())
+            pipeline=api_session.pipeline).evaluate(vliw4())
         chain_p99 = next(r["p99_us"] for r in heavy_chain.app_rows
                          if r["application"] == chain.name)
         fan_p99 = next(r["p99_us"] for r in heavy_chain.app_rows
@@ -280,8 +279,7 @@ class TestAppEvaluator:
     def test_evaluator_spec_round_trip_rebuilds_app_evaluator(
             self, api_session):
         mix = ApplicationMix.single(seeded_application("chain"))
-        evaluator = AppEvaluator(mix, engine="compiled",
-                                 pipeline=api_session.pipeline)
+        evaluator = AppEvaluator(mix, pipeline=api_session.pipeline)
         spec = EvaluatorSpec.from_evaluator(evaluator)
         assert spec.application == mix.to_json()
         # the JSON hop the daemon->worker frames take
@@ -321,8 +319,7 @@ class TestRealTimeObjectives:
                             mem_unit_counts=(1, 2), custom_budgets=(0.0,))
         winners = {}
         for objective in ("performance", "deadline_miss_rate"):
-            evaluator = AppEvaluator(mix, engine="compiled",
-                                     pipeline=api_session.pipeline)
+            evaluator = AppEvaluator(mix, pipeline=api_session.pipeline)
             explorer = Explorer(evaluator, objective=objective,
                                 batch=api_session.batch_evaluator(evaluator))
             winners[objective] = explorer.exhaustive(space).best.machine.name
@@ -330,8 +327,7 @@ class TestRealTimeObjectives:
 
     def test_p99_and_energy_objectives_score_every_point(self, api_session):
         mix = ApplicationMix.single(seeded_application("chain"))
-        evaluator = AppEvaluator(mix, engine="compiled",
-                                 pipeline=api_session.pipeline)
+        evaluator = AppEvaluator(mix, pipeline=api_session.pipeline)
         space = DesignSpace(issue_widths=(1, 4), register_counts=(32,),
                             cluster_counts=(1,), mul_unit_counts=(1,),
                             mem_unit_counts=(1,), custom_budgets=(0.0,))

@@ -1,12 +1,10 @@
-"""The native (generated-C) engine and the vectorized batch fallback.
+"""The native (generated-C) engine.
 
 Differential harness: :class:`repro.exec.NativeSimulator` must be
 bit-identical to the :class:`repro.sim.FunctionalSimulator` oracle —
 return values, memory write-backs and full execution profiles — over the
 builtin workload suite, the customized (CUSTOM-op) variants on every
-machine preset, and the fixed-seed generated population.  The same
-contract is enforced for the NumPy-lockstep
-:class:`repro.exec.VectorizedSimulator`, lane by lane.
+machine preset, and the fixed-seed generated population.
 
 Failure modes have defined semantics, tested here: a missing C compiler
 degrades to the compiled engine with a single process-wide warning; a
@@ -28,13 +26,11 @@ from repro.exec import (
     CODE_STAGE, NATIVE_STAGE, CodeCache, CompiledSimulator, NativeCodeCache,
     NativeSimulator, NativeToolchain, NativeUnavailableError,
     global_native_cache, make_functional_simulator, native_available,
-    numpy_available, reset_global_native_cache, reset_native_fallback_warning,
-    reset_native_toolchain, run_batch,
+    reset_global_native_cache, reset_native_fallback_warning,
+    reset_native_toolchain,
 )
 from repro.exec.native import CC_ENV, NativeCompileError
-from repro.exec.registry import (
-    EVALUATION_ENGINES, FUNCTIONAL_ENGINES,
-)
+from repro.exec.registry import FUNCTIONAL_ENGINES
 from repro.ir import Opcode
 from repro.pipeline import ArtifactStore
 from repro.sim import FunctionalSimulator, SimulationError
@@ -45,8 +41,6 @@ from _shared import arg_copies, build_kernel_module
 
 requires_cc = pytest.mark.skipif(not native_available(),
                                  reason="no C compiler on this host")
-requires_numpy = pytest.mark.skipif(not numpy_available(),
-                                    reason="NumPy not installed")
 
 #: argument size for the generated-population differential (keeps the
 #: interpreter side of each comparison fast).
@@ -170,16 +164,6 @@ class TestMissingCompilerFallback:
             again = make_functional_simulator(module.clone(), engine="native")
         assert isinstance(again, CompiledSimulator)
 
-    def test_run_batch_skips_straight_past_native(self):
-        kernel, module = build_kernel_module("ip_checksum")
-        arg_sets = [kernel.arguments(16, seed=s) for s in range(4)]
-        expected = [kernel.expected(a) for a in arg_sets]
-        result = run_batch(module, kernel.entry,
-                           [arg_copies(a) for a in arg_sets])
-        assert result.values == expected
-        assert result.engine_used == ("vector" if numpy_available()
-                                      else "compiled")
-
 
 class TestCompileErrorQuarantine:
     def _failing_toolchain(self):
@@ -273,89 +257,12 @@ class TestUnloadAcrossSessions:
 
 
 # ----------------------------------------------------------------------
-# Vectorized batch fallback.
-# ----------------------------------------------------------------------
-
-@requires_numpy
-class TestVectorizedSimulator:
-    LANES = 8
-
-    @pytest.mark.parametrize("name", sorted(KERNELS))
-    def test_lockstep_lanes_match_interpreter(self, name):
-        from repro.exec import VectorizedSimulator
-
-        kernel, module = build_kernel_module(name)
-        arg_sets = [kernel.arguments(None, seed=100 + lane)
-                    for lane in range(self.LANES)]
-        vec_args = [arg_copies(a) for a in arg_sets]
-        simulator = VectorizedSimulator(module, self.LANES)
-        values = simulator.run_many(kernel.entry, vec_args)
-        for lane, args in enumerate(arg_sets):
-            ref_args = arg_copies(args)
-            interp = FunctionalSimulator(module)
-            assert values[lane] == interp.run(kernel.entry, *ref_args)
-            assert vec_args[lane] == ref_args          # write-backs
-            assert simulator.profiles[lane] == interp.profile
-
-    def test_max_steps_trap_matches_interpreter_message(self):
-        from repro.exec import VectorizedSimulator
-
-        kernel, module = build_kernel_module("dot_product")
-        arg_sets = [arg_copies(kernel.arguments(None, seed=s))
-                    for s in range(4)]
-        simulator = VectorizedSimulator(module, 4, max_steps=10)
-        with pytest.raises(SimulationError, match="maximum step count"):
-            simulator.run_many(kernel.entry, arg_sets)
-
-
-class TestRunBatchCascade:
-    def _sets(self, kernel, n=4, size=16):
-        arg_sets = [kernel.arguments(size, seed=s) for s in range(n)]
-        return arg_sets, [kernel.expected(a) for a in arg_sets]
-
-    @requires_cc
-    def test_native_ceiling_uses_native(self):
-        kernel, module = build_kernel_module("dot_product")
-        arg_sets, expected = self._sets(kernel)
-        result = run_batch(module, kernel.entry,
-                           [arg_copies(a) for a in arg_sets])
-        assert result.engine_used == "native"
-        assert result.values == expected
-        assert all(n > 0 for n in result.instructions)
-
-    @pytest.mark.parametrize("engine", ["compiled", "interpreter"])
-    def test_explicit_engine_skips_cascade(self, engine):
-        kernel, module = build_kernel_module("fir_filter")
-        arg_sets, expected = self._sets(kernel)
-        result = run_batch(module, kernel.entry,
-                           [arg_copies(a) for a in arg_sets], engine=engine)
-        assert result.engine_used == engine
-        assert result.values == expected
-
-    @requires_numpy
-    def test_vector_tier_matches_per_set_results(self, monkeypatch):
-        kernel, module = build_kernel_module("viterbi_acs")
-        arg_sets, expected = self._sets(kernel, n=6, size=12)
-        monkeypatch.setenv(CC_ENV, "none")
-        reset_native_toolchain()
-        try:
-            result = run_batch(module, kernel.entry,
-                               [arg_copies(a) for a in arg_sets])
-        finally:
-            monkeypatch.delenv(CC_ENV)
-            reset_native_toolchain()
-        assert result.engine_used == "vector"
-        assert result.values == expected
-
-
-# ----------------------------------------------------------------------
 # Registry / API plumbing.
 # ----------------------------------------------------------------------
 
 class TestEnginePlumbing:
     def test_registry_includes_native(self):
         assert "native" in FUNCTIONAL_ENGINES
-        assert "native" in EVALUATION_ENGINES
 
     def test_run_request_accepts_native_and_batch(self):
         from repro.api.requests import RunRequest
@@ -378,20 +285,49 @@ class TestEnginePlumbing:
         with pytest.raises(ValueError):
             Session()
 
-    @requires_cc
-    def test_session_batched_native_run(self):
+    @staticmethod
+    def _batched_native_run(monkeypatch, cc=None):
+        """A 6-set batched ``native`` run and its interpreter twin."""
         from repro.api import Session
-        from repro.api.requests import RunRequest, response_from_json
+        from repro.api.requests import RunRequest
 
-        with Session() as session:
-            response = session.execute(RunRequest(
-                kernel="dot_product", engine="native", size=32, batch=6))
+        if cc is not None:
+            monkeypatch.setenv(CC_ENV, cc)
+        reset_native_toolchain()
+        reset_native_fallback_warning()
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                with Session() as session:
+                    response = session.execute(RunRequest(
+                        kernel="dot_product", engine="native", size=32,
+                        batch=6))
+                    oracle = session.execute(RunRequest(
+                        kernel="dot_product", engine="interpreter", size=32,
+                        batch=6))
+        finally:
+            monkeypatch.undo()
+            reset_native_toolchain()
+            reset_native_fallback_warning()
         assert response.correct
         assert response.batch == 6 and len(response.values) == 6
-        assert response.batch_engine == "native"
+        assert response.values == oracle.values
+        assert response.instructions == oracle.instructions
         assert response.value == response.values[0]
+        return response
+
+    @requires_cc
+    def test_session_batched_native_run(self, monkeypatch):
+        from repro.api.requests import response_from_json
+
+        response = self._batched_native_run(monkeypatch)
+        assert response.batch_engine == "native"
         round_trip = response_from_json(response.to_json())
         assert round_trip.values == response.values
+
+    def test_session_batched_run_without_compiler(self, monkeypatch):
+        response = self._batched_native_run(monkeypatch, cc="none")
+        assert response.batch_engine == "compiled"
 
     @requires_cc
     def test_toolchain_and_matrix_native_engine(self):
@@ -430,8 +366,6 @@ class TestCodeCacheEvictionCounter:
             _k2, m2 = build_kernel_module("crc32")
             session.code_cache.get_or_translate(m1)
             session.code_cache.get_or_translate(m2)
-            # Session.stats() is a deprecated view over the registry now;
-            # the old dict shape (and the single-counted eviction) holds.
-            with pytest.warns(DeprecationWarning):
-                stats = session.stats()
+            # The eviction is counted once into the session store.
+            stats = session.store.stats_dict()
             assert stats[CODE_STAGE]["evictions"] == 1

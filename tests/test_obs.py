@@ -512,14 +512,6 @@ class TestSessionObs:
         assert "session.run" in names and "stage.backend" in names
         assert span_depth(spans) >= 3
 
-    def test_stats_shim_warns_and_matches_store(self):
-        with Session(name="obs-shim") as session:
-            session.execute(RunRequest(kernel="dot_product",
-                                       machine="vliw4", size=16))
-            with pytest.warns(DeprecationWarning):
-                stats = session.stats()
-            assert stats == session.store.stats_dict()
-
     def test_journal_env_default(self, tmp_path, monkeypatch):
         path = str(tmp_path / "env.jsonl")
         monkeypatch.setenv("REPRO_OBS_JOURNAL", path)
