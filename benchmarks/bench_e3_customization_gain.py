@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from repro.arch import estimate_area, vliw4
 from repro.backend import compile_module
-from repro.core import reset_global_library
 from repro.frontend import compile_c
 from repro.opt import optimize
 from repro.sim import CycleSimulator
@@ -27,7 +26,6 @@ SEED = 1234  # explicit input seed: sweeps are bit-reproducible end to end
 
 
 def run_kernel(kernel_name):
-    reset_global_library()
     kernel = get_kernel(kernel_name)
     args = kernel.arguments(SIZE, seed=SEED)
     run_args = lambda: tuple(list(a) if isinstance(a, list) else a for a in args)

@@ -22,15 +22,6 @@ from typing import Dict, List, Sequence
 
 import pytest
 
-from repro.core import reset_global_library
-
-
-@pytest.fixture(autouse=True)
-def _clean_library():
-    reset_global_library()
-    yield
-    reset_global_library()
-
 
 def shrink_knob(config, name: str, full, smoke, cast=int):
     """Resolve one benchmark scale knob.

@@ -158,13 +158,13 @@ class Session:
     # ------------------------------------------------------------------
     def toolchain(self, machine, *, opt_level: Optional[int] = None,
                   unroll_factor: Optional[int] = None,
-                  engine: Optional[str] = None, library=None):
+                  engine: Optional[str] = None):
         """A :class:`~repro.toolchain.Toolchain` on this session's pipeline."""
         from ..toolchain.driver import Toolchain
 
         return Toolchain(
             resolve_machine(machine), opt_level=self._opt(opt_level),
-            unroll_factor=self._unroll(unroll_factor), library=library,
+            unroll_factor=self._unroll(unroll_factor),
             engine=engine if engine is not None else self.engine,
             pipeline=self.pipeline)
 

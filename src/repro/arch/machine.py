@@ -52,9 +52,9 @@ class CustomOperation:
     """An application-specific operation added to the ISA.
 
     The semantics of the operation are carried by the
-    :class:`repro.core.patterns.Pattern` registered under the same name in
-    the module's :class:`repro.core.library.ExtensionLibrary`; the machine
-    description only records its pipeline/cost characteristics.
+    :class:`repro.core.patterns.Pattern` stored under the same name in the
+    ``custom_ops`` of every module that uses it; the machine description
+    only records its pipeline/cost characteristics.
     """
 
     name: str
@@ -62,8 +62,8 @@ class CustomOperation:
     num_outputs: int
     latency: int
     area_kgates: float
-    #: number of primitive IR operations the custom op replaces (bookkeeping
-    #: for reports; the true semantics live in the pattern).
+    #: number of primitive IR operations the custom op replaces (prices
+    #: its energy; the true semantics live in the pattern).
     fused_ops: int = 0
 
     def __post_init__(self) -> None:
@@ -254,7 +254,7 @@ class MachineDescription:
     @staticmethod
     def from_table(table: Dict[str, object]) -> "MachineDescription":
         """Rebuild a description from :meth:`to_table` output (custom ops
-        excluded — they are re-attached by the extension library)."""
+        excluded — they are re-attached by the customizer)."""
         units = [
             FunctionalUnit(name, frozenset(OperationClass(c) for c in classes), count)
             for name, classes, count in table["functional_units"]

@@ -3,17 +3,15 @@
 The flow is: profile -> enumerate convex dataflow cuts -> merge by
 canonical pattern signature -> select fused operations under area and
 opcode-space budgets -> register them in an extension library -> rewrite
-the program(s) -> extend the machine description.
+the program(s), copying each fused pattern into ``Module.custom_ops`` ->
+extend the machine description.
 """
 
 from .patterns import (
     DELAYS_PER_STAGE, HW_AREA_KGATES, HW_DELAY, Pattern, PatternError,
     PatternNode, pattern_from_cut,
 )
-from .library import (
-    ExtensionEntry, ExtensionLibrary, global_extension_library,
-    reset_global_library,
-)
+from .library import ExtensionEntry, ExtensionLibrary
 from .identification import (
     Candidate, EnumerationConfig, Occurrence, enumerate_block_cuts,
     filter_overlapping_occurrences, identify_candidates,
@@ -31,8 +29,7 @@ from .customizer import (
 __all__ = [
     "DELAYS_PER_STAGE", "HW_AREA_KGATES", "HW_DELAY", "Pattern",
     "PatternError", "PatternNode", "pattern_from_cut",
-    "ExtensionEntry", "ExtensionLibrary", "global_extension_library",
-    "reset_global_library",
+    "ExtensionEntry", "ExtensionLibrary",
     "Candidate", "EnumerationConfig", "Occurrence", "enumerate_block_cuts",
     "filter_overlapping_occurrences", "identify_candidates",
     "SelectionConfig", "SelectionResult", "select", "select_greedy",

@@ -4,8 +4,10 @@
 programs — an application *area*) plus a base machine description into a
 customized family member: it profiles, enumerates candidate fused
 operations, selects under area/encoding budgets, registers the winners in
-an extension library, rewrites the program(s) to use them and returns the
-extended machine description.
+its extension library (a fresh one unless the caller passes one), rewrites
+the program(s) to use them — each rewritten module records the fused
+patterns in its ``custom_ops`` — and returns the extended machine
+description.
 
 This is the paper's headline flow — "CPUs that are customized to their
 use" produced automatically by the toolchain rather than by a hand-built
@@ -22,7 +24,7 @@ from ..ir import Module
 from .identification import (
     Candidate, EnumerationConfig, identify_candidates,
 )
-from .library import ExtensionLibrary, global_extension_library
+from .library import ExtensionLibrary
 from .rewrite import apply_selection, custom_op_usage, rewrite_with_library
 from .selection import SelectionConfig, SelectionResult, select
 
@@ -77,7 +79,7 @@ class IsaCustomizer:
         self.base_machine = base_machine
         self.enumeration = enumeration or EnumerationConfig(max_outputs=1)
         self.selection_config = selection_config or SelectionConfig()
-        self.library = library if library is not None else global_extension_library()
+        self.library = library if library is not None else ExtensionLibrary()
 
     # ------------------------------------------------------------------
     # Profiling.
@@ -202,14 +204,12 @@ class IsaCustomizer:
 def customize_isa(module: Module, base_machine: MachineDescription,
                   area_budget_kgates: float = 40.0,
                   max_operations: int = 8,
-                  name: Optional[str] = None,
-                  library: Optional[ExtensionLibrary] = None) -> CustomizationResult:
+                  name: Optional[str] = None) -> CustomizationResult:
     """One-call convenience wrapper around :class:`IsaCustomizer`."""
     customizer = IsaCustomizer(
         base_machine,
         selection_config=SelectionConfig(
             area_budget_kgates=area_budget_kgates, max_operations=max_operations
         ),
-        library=library,
     )
     return customizer.customize(module, name=name)

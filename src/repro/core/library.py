@@ -1,11 +1,13 @@
 """The extension library: named custom operations and their semantics.
 
-The library is the hand-off point between the customizer (which invents
-operations), the machine description (which records their cost), the
-compiler back end (which schedules them), and the simulators (which need
-their semantics to execute them).  A process-wide library instance is used
-so that simulators can resolve custom-op names without threading the
-library through every call; tests reset it between cases.
+The library is the customizer's working set: it names the patterns the
+customizer selects and derives their machine-level cost, which the
+customized machine description records.  It is a plain value owned by
+one :class:`~repro.core.customizer.IsaCustomizer` (or handed to
+:func:`~repro.core.rewrite.rewrite_with_library`), never a process-wide
+registry.  The simulators and engines do not read it: every rewrite
+copies the pattern it fused into the rewritten module's
+``Module.custom_ops``, so the semantics travel with the IR that uses them.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional
 
 from ..arch.machine import CustomOperation
-from .patterns import Pattern
+from .patterns import Pattern, PatternError
 
 
 @dataclass
@@ -41,7 +43,17 @@ class ExtensionLibrary:
     # ------------------------------------------------------------------
     def register(self, pattern: Pattern,
                  operation: Optional[CustomOperation] = None) -> ExtensionEntry:
-        """Register a pattern, deriving its machine-level cost if not given."""
+        """Register a pattern, deriving its machine-level cost if not given.
+
+        Registering the same computation again is idempotent; a name
+        already held by a different computation raises :class:`PatternError`.
+        """
+        name = operation.name if operation is not None else pattern.name
+        held = self._by_name.get(name)
+        if held is not None and held.pattern.signature() != pattern.signature():
+            raise PatternError(
+                f"custom op name {name} is already held by "
+                f"{held.pattern.signature()}, not {pattern.signature()}")
         if operation is None:
             operation = CustomOperation(
                 name=pattern.name,
@@ -59,22 +71,9 @@ class ExtensionLibrary:
     def register_all(self, patterns: List[Pattern]) -> List[ExtensionEntry]:
         return [self.register(p) for p in patterns]
 
-    def remove(self, name: str) -> None:
-        entry = self._by_name.pop(name, None)
-        if entry is not None:
-            self._by_signature.pop(entry.pattern.signature(), None)
-
-    def clear(self) -> None:
-        self._by_name.clear()
-        self._by_signature.clear()
-
     # ------------------------------------------------------------------
     # Lookup.
     # ------------------------------------------------------------------
-    def lookup(self, name: str) -> Optional[Pattern]:
-        entry = self._by_name.get(name)
-        return entry.pattern if entry is not None else None
-
     def entry(self, name: str) -> Optional[ExtensionEntry]:
         return self._by_name.get(name)
 
@@ -88,25 +87,8 @@ class ExtensionLibrary:
     def __len__(self) -> int:
         return len(self._by_name)
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._by_name
-
     def __iter__(self) -> Iterator[ExtensionEntry]:
         return iter(self._by_name.values())
 
     def total_area_kgates(self) -> float:
         return sum(entry.operation.area_kgates for entry in self)
-
-
-#: Process-wide library used by the simulators to resolve custom-op names.
-_GLOBAL_LIBRARY = ExtensionLibrary()
-
-
-def global_extension_library() -> ExtensionLibrary:
-    """Return the process-wide extension library."""
-    return _GLOBAL_LIBRARY
-
-
-def reset_global_library() -> None:
-    """Clear the process-wide library (used by tests and the explorer)."""
-    _GLOBAL_LIBRARY.clear()

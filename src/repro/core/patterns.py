@@ -11,6 +11,7 @@ the simulators to give custom operations their semantics.
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
@@ -71,14 +72,20 @@ class PatternError(Exception):
 
 
 class Pattern:
-    """A canonical, executable description of a fused computation."""
+    """A canonical, executable description of a fused computation.
+
+    An unnamed pattern is named from its content, ``cop_`` plus the first
+    16 hex digits of the SHA-256 of its signature, so the same computation
+    gets the same name in every process.
+    """
 
     def __init__(self, nodes: List[PatternNode], outputs: List[int],
                  num_inputs: int, name: str = "") -> None:
         self.nodes = nodes
         self.outputs = outputs
         self.num_inputs = num_inputs
-        self.name = name or f"cop_{abs(hash(self.signature())) % 100_000:05d}"
+        self.name = name or "cop_" + hashlib.sha256(
+            self.signature().encode("utf-8")).hexdigest()[:16]
 
     # ------------------------------------------------------------------
     # Basic properties.

@@ -11,7 +11,9 @@ Two entry points:
 
 Both only rewrite single-output occurrences — the machine's custom
 operations write one register — and both verify that collapsing the cut
-into one instruction cannot reorder it past a consumer.
+into one instruction cannot reorder it past a consumer.  Every rewritten
+site records its pattern in ``module.custom_ops``, which is where the
+simulators and engines read the semantics of CUSTOM instructions.
 """
 
 from __future__ import annotations
@@ -96,6 +98,7 @@ def apply_selection(module: Module, selected: Sequence[Candidate],
             except KeyError:
                 continue
             if _rewrite_occurrence(block, occurrence, entry.name):
+                module.custom_ops[entry.name] = entry.pattern
                 count += 1
         rewritten[entry.name] = count
     return rewritten
@@ -143,6 +146,7 @@ def rewrite_with_library(module: Module, library: ExtensionLibrary,
                         output_registers=outputs,
                     )
                     if _rewrite_occurrence(block, occurrence, entry.name):
+                        module.custom_ops[entry.name] = entry.pattern
                         rewritten[entry.name] += 1
                         progress = True
                         break

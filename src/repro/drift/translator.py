@@ -9,9 +9,11 @@ re-targeted to member B by
 1. recovering the operation stream (our binaries keep the operation-level
    structure, as real translators recover it by decoding),
 2. *expanding* custom operations that B does not implement back into the
-   primitive sequences recorded in the extension library,
-3. optionally *re-optimizing* for B — re-matching B's own custom
-   operations over the recovered code (the dynamic-optimizer path), and
+   primitive sequences the binary's source module records in its
+   ``custom_ops``,
+3. optionally *re-optimizing* for B — re-matching those of the source's
+   custom operations that B implements over the recovered code (the
+   dynamic-optimizer path), and
 4. re-scheduling and re-encoding for B's resource tables.
 
 The translated program is real, runnable code for B (it executes on the
@@ -28,7 +30,7 @@ from ..arch.machine import MachineDescription
 from ..backend.codegen import compile_module
 from ..backend.mcode import CompiledModule
 from ..core.identification import EnumerationConfig
-from ..core.library import ExtensionLibrary, global_extension_library
+from ..core.library import ExtensionLibrary
 from ..core.rewrite import rewrite_with_library
 from ..ir import Constant, Instruction, Module, Opcode, VirtualRegister
 from ..ir.types import I32
@@ -61,13 +63,13 @@ TRANSLATION_CYCLES_PER_OP = 60
 REOPTIMIZATION_CYCLES_PER_OP = 220
 
 
-def expand_custom_ops(module: Module, library: ExtensionLibrary,
+def expand_custom_ops(module: Module,
                       supported: Optional[Set[str]] = None) -> int:
     """Expand CUSTOM instructions not in ``supported`` back to primitives.
 
     Returns the number of custom-op sites expanded.  The expansion uses the
-    pattern recorded in the library, so the result is semantically
-    identical to the fused operation.
+    pattern recorded in ``module.custom_ops``, so the result is
+    semantically identical to the fused operation.
     """
     supported = supported or set()
     expanded = 0
@@ -81,7 +83,7 @@ def expand_custom_ops(module: Module, library: ExtensionLibrary,
                         continue
                     if inst.custom_op in supported:
                         continue
-                    pattern = library.lookup(inst.custom_op)
+                    pattern = module.custom_ops.get(inst.custom_op)
                     if pattern is None:
                         raise TranslationError(
                             f"no semantics registered for custom op {inst.custom_op}"
@@ -119,9 +121,6 @@ def _expand_pattern(inst: Instruction, pattern) -> List[Instruction]:
 class BinaryTranslator:
     """Re-targets compiled programs between family members."""
 
-    def __init__(self, library: Optional[ExtensionLibrary] = None) -> None:
-        self.library = library if library is not None else global_extension_library()
-
     def translate(self, compiled: CompiledModule, target: MachineDescription,
                   reoptimize: bool = False,
                   enumeration: Optional[EnumerationConfig] = None
@@ -129,9 +128,9 @@ class BinaryTranslator:
         """Translate ``compiled`` (built for machine A) to run on ``target``.
 
         ``reoptimize`` enables the dynamic-optimizer path: after expansion,
-        the translator re-matches the *target's* custom operations over the
-        recovered code, recovering most of the customization benefit at a
-        higher one-time cost.
+        the translator re-matches the binary's own custom operations that
+        the *target* implements over the recovered code, recovering most of
+        the customization benefit at a higher one-time cost.
         """
         if compiled.source is None:
             raise TranslationError("compiled module carries no recoverable code")
@@ -145,16 +144,14 @@ class BinaryTranslator:
 
         # Expand fused operations the target does not implement.
         supported = set(target.custom_ops)
-        report.custom_ops_expanded = expand_custom_ops(
-            recovered, self.library, supported
-        )
+        report.custom_ops_expanded = expand_custom_ops(recovered, supported)
 
         per_op_cost = TRANSLATION_CYCLES_PER_OP
         if reoptimize:
             per_op_cost = REOPTIMIZATION_CYCLES_PER_OP
             rematched = rewrite_with_library(
                 recovered,
-                self._library_for(target),
+                _library_for(compiled.source, target),
                 enumeration or EnumerationConfig(max_outputs=1),
             )
             report.custom_ops_rematched = sum(rematched.values())
@@ -166,11 +163,11 @@ class BinaryTranslator:
         translated, _compile_report = compile_module(recovered, target)
         return translated, report
 
-    def _library_for(self, machine: MachineDescription) -> ExtensionLibrary:
-        """A view of the library restricted to the machine's operations."""
-        restricted = ExtensionLibrary()
-        for name in machine.custom_ops:
-            entry = self.library.entry(name)
-            if entry is not None:
-                restricted.register(entry.pattern, entry.operation)
-        return restricted
+
+def _library_for(source: Module, machine: MachineDescription) -> ExtensionLibrary:
+    """The source module's custom operations that ``machine`` implements."""
+    restricted = ExtensionLibrary()
+    for name, pattern in source.custom_ops.items():
+        if name in machine.custom_ops:
+            restricted.register(pattern, machine.custom_ops[name])
+    return restricted

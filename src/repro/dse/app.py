@@ -34,10 +34,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..app.runner import AppReport, AppRunner
 from ..app.spec import ApplicationSpec
-from ..arch.machine import MachineDescription
+from ..arch.machine import MachineConfigError, MachineDescription
+from ..backend.isel import SelectionError
 from ..core.customizer import IsaCustomizer
 from ..core.identification import EnumerationConfig
-from ..core.library import ExtensionLibrary
 from ..core.selection import SelectionConfig
 from ..exec.registry import validate_engine
 from ..pipeline import CompilePipeline
@@ -206,7 +206,6 @@ class AppEvaluator:
                  custom_area_budget: float = 0.0) -> AppEvaluation:
         """Measure ``machine`` on the mix; optionally customize its ISA."""
         evaluation = AppEvaluation(machine=machine, fidelity=self.fidelity)
-        library = ExtensionLibrary()
         working_machine = machine
 
         modules = {key: module.clone()
@@ -219,7 +218,6 @@ class AppEvaluator:
                 selection_config=SelectionConfig(
                     area_budget_kgates=custom_area_budget
                 ),
-                library=library,
             )
             weighted = [(modules[(spec.name, node.name)], weight)
                         for spec, weight in self.mix.applications()
@@ -232,44 +230,31 @@ class AppEvaluator:
             evaluation.customized = True
             evaluation.custom_ops = result.report.operations_selected
 
-        from ..core.library import global_extension_library
-
-        global_lib = global_extension_library()
-        added = []
-        for entry in library:
-            if entry.name not in global_lib:
-                global_lib.register(entry.pattern, entry.operation)
-                added.append(entry.name)
-
-        try:
-            for spec, weight in self.mix.applications():
-                try:
-                    runner = AppRunner(
-                        spec, working_machine, engine="compiled",
-                        opt_level=self.opt_level, fidelity=self.fidelity,
-                        pipeline=self.pipeline,
-                        modules={node.name: modules[(spec.name, node.name)]
-                                 for node in spec.nodes})
-                    report = runner.run()
-                    evaluation.measurements.append(
-                        self._measurement(spec, weight, report, runner))
-                    row = report.summary_row()
-                    row["weight"] = weight
-                    evaluation.app_rows.append(row)
-                except Exception:  # noqa: BLE001 - infeasible point
-                    evaluation.measurements.append(KernelMeasurement(
-                        kernel=spec.name, weight=weight, cycles=0,
-                        correct=False, energy_uj=0.0, code_bytes=0, ipc=0.0,
-                    ))
-                    evaluation.app_rows.append({
-                        "application": spec.name, "weight": weight,
-                        "correct": False, "miss_rate": 1.0, "p50_us": 0.0,
-                        "p95_us": 0.0, "p99_us": 0.0, "jitter_us": 0.0,
-                        "energy_per_window_uj": 0.0,
-                    })
-        finally:
-            for name in added:
-                global_lib.remove(name)
+        for spec, weight in self.mix.applications():
+            try:
+                runner = AppRunner(
+                    spec, working_machine, engine="compiled",
+                    opt_level=self.opt_level, fidelity=self.fidelity,
+                    pipeline=self.pipeline,
+                    modules={node.name: modules[(spec.name, node.name)]
+                             for node in spec.nodes})
+                report = runner.run()
+                evaluation.measurements.append(
+                    self._measurement(spec, weight, report, runner))
+                row = report.summary_row()
+                row["weight"] = weight
+                evaluation.app_rows.append(row)
+            except (SelectionError, MachineConfigError):  # infeasible point
+                evaluation.measurements.append(KernelMeasurement(
+                    kernel=spec.name, weight=weight, cycles=0,
+                    correct=False, energy_uj=0.0, code_bytes=0, ipc=0.0,
+                ))
+                evaluation.app_rows.append({
+                    "application": spec.name, "weight": weight,
+                    "correct": False, "miss_rate": 1.0, "p50_us": 0.0,
+                    "p95_us": 0.0, "p99_us": 0.0, "jitter_us": 0.0,
+                    "energy_per_window_uj": 0.0,
+                })
 
         return evaluation
 

@@ -27,11 +27,11 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from ..arch.area import estimate_area
-from ..arch.machine import MachineDescription
+from ..arch.machine import MachineConfigError, MachineDescription
 from ..core.customizer import IsaCustomizer
 from ..core.identification import EnumerationConfig
-from ..core.library import ExtensionLibrary
 from ..core.selection import SelectionConfig
+from ..backend.isel import SelectionError
 from ..backend.mcode import CompiledModule
 from ..exec.registry import validate_engine
 from ..pipeline import CompilePipeline
@@ -170,7 +170,6 @@ class Evaluator:
                  custom_area_budget: float = 0.0) -> Evaluation:
         """Measure ``machine`` on the mix; optionally customize its ISA first."""
         evaluation = Evaluation(machine=machine, fidelity=self.fidelity)
-        library = ExtensionLibrary()
         working_machine = machine
 
         modules = {name: module.clone() for name, module in self._modules.items()}
@@ -182,7 +181,6 @@ class Evaluator:
                 selection_config=SelectionConfig(
                     area_budget_kgates=custom_area_budget
                 ),
-                library=library,
             )
             weighted = [(modules[kernel.name], weight)
                         for kernel, weight in self.mix.kernels()]
@@ -194,52 +192,36 @@ class Evaluator:
             evaluation.customized = True
             evaluation.custom_ops = result.report.operations_selected
 
-        # The cycle simulator resolves custom ops through the global library;
-        # temporarily install this evaluation's private library entries.
-        from ..core.library import global_extension_library
-
-        global_lib = global_extension_library()
-        added = []
-        for entry in library:
-            if entry.name not in global_lib:
-                global_lib.register(entry.pattern, entry.operation)
-                added.append(entry.name)
-
-        try:
-            for kernel, weight in self.mix.kernels():
-                module = modules[kernel.name]
-                args = kernel.arguments(self.size, seed=self.seed)
-                expected = kernel.expected(args)
-                try:
-                    compiled, report = self.pipeline.backend(module, working_machine)
-                    code_bytes = (report.code.bytes_effective
-                                  if report.code is not None else 0)
-                    if self.fidelity == "trace":
-                        measurement = self._measure_trace(
-                            kernel, weight, module, compiled, working_machine,
-                            args, expected, code_bytes)
-                    else:
-                        simulator = CycleSimulator(compiled)
-                        result = simulator.run(kernel.entry,
-                                               *copy_run_args(args))
-                        measurement = KernelMeasurement(
-                            kernel=kernel.name,
-                            weight=weight,
-                            cycles=result.cycles,
-                            correct=(result.value == expected),
-                            energy_uj=result.energy_uj,
-                            code_bytes=code_bytes,
-                            ipc=result.stats.ipc,
-                        )
-                    evaluation.measurements.append(measurement)
-                except Exception:  # noqa: BLE001 - infeasible point
-                    evaluation.measurements.append(KernelMeasurement(
-                        kernel=kernel.name, weight=weight, cycles=0,
-                        correct=False, energy_uj=0.0, code_bytes=0, ipc=0.0,
-                    ))
-        finally:
-            for name in added:
-                global_lib.remove(name)
+        for kernel, weight in self.mix.kernels():
+            module = modules[kernel.name]
+            args = kernel.arguments(self.size, seed=self.seed)
+            expected = kernel.expected(args)
+            try:
+                compiled, report = self.pipeline.backend(module, working_machine)
+                code_bytes = (report.code.bytes_effective
+                              if report.code is not None else 0)
+                if self.fidelity == "trace":
+                    measurement = self._measure_trace(
+                        kernel, weight, module, compiled, working_machine,
+                        args, expected, code_bytes)
+                else:
+                    simulator = CycleSimulator(compiled)
+                    result = simulator.run(kernel.entry, *copy_run_args(args))
+                    measurement = KernelMeasurement(
+                        kernel=kernel.name,
+                        weight=weight,
+                        cycles=result.cycles,
+                        correct=(result.value == expected),
+                        energy_uj=result.energy_uj,
+                        code_bytes=code_bytes,
+                        ipc=result.stats.ipc,
+                    )
+                evaluation.measurements.append(measurement)
+            except (SelectionError, MachineConfigError):  # infeasible point
+                evaluation.measurements.append(KernelMeasurement(
+                    kernel=kernel.name, weight=weight, cycles=0,
+                    correct=False, energy_uj=0.0, code_bytes=0, ipc=0.0,
+                ))
 
         return evaluation
 

@@ -11,8 +11,9 @@ The fingerprint is a SHA-256 over a canonical rendering of the module:
 functions, blocks and instructions in order, with virtual-register ids
 normalized to per-function sequence numbers (clones allocate fresh global
 ids, so raw ids would never match).  CUSTOM operations additionally hash
-the *signature* of the pattern currently bound to their name, so the same
-IR under different registered semantics maps to different cache entries.
+the *signature* of the pattern the module's ``custom_ops`` binds to their
+name, so the same IR under different semantics maps to different cache
+entries.
 """
 
 from __future__ import annotations
@@ -31,19 +32,14 @@ from ..obs.metrics import StageStats
 from .translator import TranslatedProgram, translate_module
 
 
-def module_fingerprint(module: Module, library=None) -> str:
+def module_fingerprint(module: Module) -> str:
     """A structural content hash of ``module``.
 
     Two modules have equal fingerprints iff they are clones of each other
-    (same functions, blocks, instructions, operands, globals) with the same
-    custom-op semantics visible in ``library`` (the process-wide extension
-    library by default).
+    (same functions, blocks, instructions, operands, globals) whose CUSTOM
+    instructions have the same semantics in their ``custom_ops``.  A
+    module without CUSTOM instructions hashes its structure alone.
     """
-    if library is None:
-        from ..core.library import global_extension_library
-
-        library = global_extension_library()
-
     parts = []
 
     for name, gvar in module.globals.items():
@@ -88,7 +84,7 @@ def module_fingerprint(module: Module, library=None) -> str:
                 if inst.callee:
                     tokens.append(f"@{inst.callee}")
                 if inst.custom_op:
-                    pattern = library.lookup(inst.custom_op)
+                    pattern = module.custom_ops.get(inst.custom_op)
                     signature = pattern.signature() if pattern is not None else "?"
                     tokens.append(f"x{inst.custom_op}={signature}")
                 if inst.alloc_type is not None:
@@ -191,9 +187,9 @@ class CodeCache:
                     setattr(target, name, getattr(target, name) + count)
             object.__setattr__(self.stats, "_backing", target)
 
-    def get_or_translate(self, module: Module, library=None) -> TranslatedProgram:
+    def get_or_translate(self, module: Module) -> TranslatedProgram:
         """Return the cached translation of ``module``, translating on miss."""
-        fingerprint = module_fingerprint(module, library=library)
+        fingerprint = module_fingerprint(module)
         with self._lock:
             program = self._entries.get(fingerprint)
             if program is not None:
@@ -205,7 +201,7 @@ class CodeCache:
         # duplicate translation is cheaper than serializing translators.
         with global_tracer().span("engine.translate",
                                   fingerprint=fingerprint[:16]):
-            program = translate_module(module, library=library)
+            program = translate_module(module)
         program.fingerprint = fingerprint
         with self._lock:
             self._entries[fingerprint] = program

@@ -505,7 +505,6 @@ class NativeSimulator(CompiledSimulator):
                     reason or "module not available natively")
         self.native = program
         self._custom_error: Optional[BaseException] = None
-        self._pattern_cache: Dict[str, object] = {}
         self._custom_cb = (self._make_custom_cb()
                            if program.rendered.custom_ops else None)
         # Sanity: the renderer and the translator must agree on layout.
@@ -518,22 +517,15 @@ class NativeSimulator(CompiledSimulator):
     # ------------------------------------------------------------------
     def _make_custom_cb(self):
         names = self.native.rendered.custom_ops
-        patterns = self._pattern_cache
+        patterns = [self.module.custom_ops.get(name) for name in names]
 
         def callback(handle, op_index, inputs, n, out):
             try:
                 name = names[op_index]
-                # Late binding with first-resolution caching, matching the
-                # translator's lazy custom-op policy.
-                pattern = patterns.get(name)
+                pattern = patterns[op_index]
                 if pattern is None:
-                    from ..core.library import global_extension_library
-
-                    pattern = global_extension_library().lookup(name)
-                    if pattern is None:
-                        raise SimulationError(
-                            f"custom op {name} has no registered semantics")
-                    patterns[name] = pattern
+                    raise SimulationError(
+                        f"custom op {name} has no registered semantics")
                 values = [inputs[i] for i in range(n)]
                 try:
                     result = pattern.evaluate(values)

@@ -20,13 +20,13 @@ reproduces the interpreter's :class:`~repro.sim.functional.ExecutionProfile`
 exactly; only taken-branch counts are data dependent and are recorded at
 run time by the branch terminators.
 
-CUSTOM (ISA-extension) operations are bound from the extension library at
-translation time: the pattern's ``evaluate`` is captured directly in the
-closure.  If a custom op is not registered when translation happens, a lazy
-closure is emitted instead that re-checks the library until the op appears
-and then caches the resolved pattern for every later execution, matching
-the interpreter's late-binding behaviour without paying the registry probe
-per instruction.
+CUSTOM (ISA-extension) operations are bound from the module's own
+``custom_ops`` at translation time: the pattern's ``evaluate`` is captured
+directly in the closure.  There is no late binding — the semantics travel
+with the module, so they are known when it is translated.  An op the
+module does not define translates to a closure that raises
+:class:`~repro.sim.functional.SimulationError` when executed, as the
+interpreter does.
 
 The translated program is an immutable snapshot: it captures values (not
 live IR nodes) wherever later passes could mutate the module, so a cached
@@ -250,11 +250,8 @@ class TranslatedProgram:
 class ModuleTranslator:
     """Translates one module; use :func:`translate_module` for the one-shot API."""
 
-    def __init__(self, module: Module, library=None) -> None:
-        from ..core.library import global_extension_library
-
+    def __init__(self, module: Module) -> None:
         self.module = module
-        self.library = library if library is not None else global_extension_library()
         self.program = TranslatedProgram(module.name)
 
     # ------------------------------------------------------------------
@@ -502,66 +499,41 @@ class ModuleTranslator:
     def _build_custom(self, inst: Instruction) -> Callable:
         getters = tuple(_getter(self._access(a)) for a in inst.operands)
         name = inst.custom_op
-        pattern = self.library.lookup(name)
-        dest = inst.dest.id if inst.dest is not None else None
-        wrap = _wrap_fn(inst.dest.type) if inst.dest is not None else None
-        if pattern is not None:
-            evaluate = pattern.evaluate
-            if dest is not None:
-                def do_custom(regs, ctx, _g=getters, _e=evaluate, _d=dest,
-                              _w=wrap, _n=name):
-                    inputs = [get(regs) for get in _g]
-                    # A KeyError escaping evaluate() must not be mistaken for
-                    # an undefined-register read by the engine's run loop.
-                    try:
-                        result = _e(inputs)
-                    except KeyError as exc:
-                        raise SimulationError(
-                            f"custom op {_n} raised KeyError: {exc}") from exc
-                    regs[_d] = _w(result)
-                return do_custom
-            def do_void_custom(regs, ctx, _g=getters, _e=evaluate, _n=name):
+        pattern = self.module.custom_ops.get(name)
+        if pattern is None:
+            def do_undefined_custom(regs, ctx, _n=name):
+                raise SimulationError(
+                    f"custom op {_n} has no registered semantics")
+            return do_undefined_custom
+        evaluate = pattern.evaluate
+        if inst.dest is not None:
+            def do_custom(regs, ctx, _g=getters, _e=evaluate,
+                          _d=inst.dest.id, _w=_wrap_fn(inst.dest.type),
+                          _n=name):
                 inputs = [get(regs) for get in _g]
+                # A KeyError escaping evaluate() must not be mistaken for
+                # an undefined-register read by the engine's run loop.
                 try:
-                    _e(inputs)
+                    result = _e(inputs)
                 except KeyError as exc:
                     raise SimulationError(
                         f"custom op {_n} raised KeyError: {exc}") from exc
-            return do_void_custom
-
-        # Late binding: the op may be registered between translation and run.
-        # The library lookup is cached in a cell after the first successful
-        # resolution, so the registry dict is not re-probed on every
-        # execution of a hot op (an unregistered op keeps re-checking, since
-        # registration can still happen later).
-        cell: List = [None]
-
-        def do_lazy_custom(regs, ctx, _g=getters, _n=name, _d=dest, _w=wrap,
-                           _cell=cell):
-            bound = _cell[0]
-            if bound is None:
-                from ..core.library import global_extension_library
-
-                bound = global_extension_library().lookup(_n)
-                if bound is None:
-                    raise SimulationError(
-                        f"custom op {_n} has no registered semantics")
-                _cell[0] = bound
+                regs[_d] = _w(result)
+            return do_custom
+        def do_void_custom(regs, ctx, _g=getters, _e=evaluate, _n=name):
             inputs = [get(regs) for get in _g]
             try:
-                result = bound.evaluate(inputs)
+                _e(inputs)
             except KeyError as exc:
                 raise SimulationError(
                     f"custom op {_n} raised KeyError: {exc}") from exc
-            if _d is not None:
-                regs[_d] = _w(result)
-        return do_lazy_custom
+        return do_void_custom
 
 
-def translate_module(module: Module, library=None) -> TranslatedProgram:
+def translate_module(module: Module) -> TranslatedProgram:
     """Translate ``module`` into threaded code.
 
-    ``library`` defaults to the process-wide extension library; it supplies
-    the semantics of CUSTOM operations, bound at translation time.
+    CUSTOM operations are bound from ``module.custom_ops`` at translation
+    time.
     """
-    return ModuleTranslator(module, library=library).translate()
+    return ModuleTranslator(module).translate()

@@ -29,6 +29,7 @@ def clone_module(module: Module) -> Module:
         global_map[id(gvar)] = new_gvar
     for function in module.functions.values():
         new_module.add_function(clone_function(function, global_map))
+    new_module.custom_ops = dict(module.custom_ops)
     return new_module
 
 

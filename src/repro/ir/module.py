@@ -2,24 +2,32 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional
+from typing import TYPE_CHECKING, Dict, Iterator
 
 from .function import Function
 from .types import Type
 from .values import GlobalVariable
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..core.patterns import Pattern
 
 
 class Module:
     """A compilation unit: a set of functions and global variables.
 
     The module is the unit handed to the optimizer, the customizer and the
-    back end, and the unit loaded by the simulators.
+    back end, and the unit loaded by the simulators.  ``custom_ops`` maps
+    the name of every ISA-extension operation its CUSTOM instructions use
+    to the :class:`~repro.core.patterns.Pattern` giving its semantics; the
+    customizer's rewrites fill it, so a customized module carries
+    everything needed to execute it.
     """
 
     def __init__(self, name: str = "module") -> None:
         self.name = name
         self.functions: Dict[str, Function] = {}
         self.globals: Dict[str, GlobalVariable] = {}
+        self.custom_ops: Dict[str, "Pattern"] = {}
 
     # ------------------------------------------------------------------
     # Functions.

@@ -147,12 +147,10 @@ class RetimingModel:
 
     def _price(self, compiled: CompiledModule,
                machine: MachineDescription, trace) -> TraceEstimate:
-        from ..core.library import global_extension_library
         from ..sim.cycle import CycleSimulator
 
         stats = CycleStatistics()
         energy = EnergyModel(machine)
-        library = global_extension_library()
 
         opcode_counts = trace.opcode_counts
         activations = 1 + sum(trace.call_counts.values())
@@ -210,9 +208,8 @@ class RetimingModel:
                                 pj = operation_pj(OperationClass.IALU)
                             elif op.inst.opcode is Opcode.CUSTOM:
                                 stats.custom_ops_executed += visits
-                                entry = library.entry(op.inst.custom_op)
-                                fused = (entry.operation.fused_ops
-                                         if entry else 1)
+                                fused = machine.custom_ops[
+                                    op.inst.custom_op].fused_ops
                                 pj = custom_pj(fused, len(op.inst.operands))
                             else:
                                 pj = operation_pj(op.op_class,

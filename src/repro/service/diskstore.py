@@ -47,7 +47,7 @@ except ImportError:  # pragma: no cover - non-POSIX platforms
     fcntl = None
 
 #: entry-file magic; bump on incompatible layout changes.
-FORMAT_MAGIC = b"repro-art1"
+FORMAT_MAGIC = b"repro-art2"
 
 #: directory (under the root) where corrupt entries are preserved.
 QUARANTINE_DIR = "_quarantine"

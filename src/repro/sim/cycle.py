@@ -265,11 +265,7 @@ class CycleSimulator:
         # Energy for real operations.
         if inst.opcode is Opcode.CUSTOM:
             self.stats.custom_ops_executed += 1
-            entry = None
-            from ..core.library import global_extension_library
-
-            lib_entry = global_extension_library().entry(inst.custom_op)
-            fused = lib_entry.operation.fused_ops if lib_entry is not None else 1
+            fused = self.machine.custom_ops[inst.custom_op].fused_ops
             self.energy.charge_custom(fused, len(inst.operands))
         else:
             self.energy.charge_operation(op.op_class, len(inst.operands))

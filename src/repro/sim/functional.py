@@ -321,10 +321,8 @@ class FunctionalSimulator:
         return None
 
     def _execute_custom(self, inst: Instruction, frame: _Frame):
-        """Execute an ISA-extension op by evaluating its registered pattern."""
-        from ..core.library import global_extension_library
-
-        pattern = global_extension_library().lookup(inst.custom_op)
+        """Execute an ISA-extension op by evaluating the module's pattern."""
+        pattern = self.module.custom_ops.get(inst.custom_op)
         if pattern is None:
             raise SimulationError(
                 f"custom op {inst.custom_op} has no registered semantics"

@@ -21,7 +21,6 @@ from ..backend.mcode import CompiledModule
 from ..backend.asm import BinaryImage, encode_module, render_assembly
 from ..core.customizer import CustomizationResult, IsaCustomizer
 from ..core.identification import EnumerationConfig
-from ..core.library import ExtensionLibrary, global_extension_library
 from ..core.selection import SelectionConfig
 from ..exec.registry import validate_engine
 from ..ir import Module
@@ -84,14 +83,12 @@ class Toolchain:
 
     def __init__(self, machine: MachineDescription, opt_level: int = 2,
                  unroll_factor: int = 4,
-                 library: Optional[ExtensionLibrary] = None,
                  engine: str = "interpreter",
                  pipeline: Optional[CompilePipeline] = None) -> None:
         validate_engine(engine, "functional")
         self.machine = machine
         self.opt_level = opt_level
         self.unroll_factor = unroll_factor
-        self.library = library if library is not None else global_extension_library()
         #: functional-execution engine used by run_reference:
         #: "interpreter" (reference oracle), "compiled" (threaded code)
         #: or "native" (generated C, degrading to compiled without a CC).
@@ -170,9 +167,9 @@ class Toolchain:
                   profile_args: Tuple = ()) -> "Toolchain":
         """Derive a new toolchain whose machine is customized for ``module``.
 
-        The module is rewritten in place to use the new operations; the
-        returned toolchain targets the extended family member and shares
-        this toolchain's extension library.
+        The module is rewritten in place to use the new operations and
+        records their semantics in ``module.custom_ops``; the returned
+        toolchain targets the extended family member.
         """
         customizer = IsaCustomizer(
             self.machine,
@@ -181,15 +178,13 @@ class Toolchain:
                 area_budget_kgates=area_budget_kgates,
                 max_operations=max_operations,
             ),
-            library=self.library,
         )
         result = customizer.customize(module, name=name,
                                       profile_entry=profile_entry,
                                       profile_args=profile_args)
         derived = Toolchain(result.machine, opt_level=self.opt_level,
                             unroll_factor=self.unroll_factor,
-                            library=self.library, engine=self.engine,
-                            pipeline=self.pipeline)
+                            engine=self.engine, pipeline=self.pipeline)
         derived.last_customization = result  # type: ignore[attr-defined]
         return derived
 
@@ -200,8 +195,7 @@ class Toolchain:
         """The same toolchain pointed at a different family member."""
         return Toolchain(machine, opt_level=self.opt_level,
                          unroll_factor=self.unroll_factor,
-                         library=self.library, engine=self.engine,
-                         pipeline=self.pipeline)
+                         engine=self.engine, pipeline=self.pipeline)
 
     def describe(self) -> str:
         return f"Toolchain for {self.machine.describe()} (O{self.opt_level})"

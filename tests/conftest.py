@@ -20,7 +20,6 @@ from __future__ import annotations
 import pytest
 
 from repro.arch import risc_baseline, vliw2, vliw4
-from repro.core import reset_global_library
 from repro.frontend import compile_c
 from repro.opt import optimize
 from repro.workloads import get_kernel
@@ -29,14 +28,6 @@ from _shared import (
     APP_SEED, POPULATION_COUNT, POPULATION_SEED, arg_copies,
     build_kernel_module, seeded_application,
 )
-
-@pytest.fixture(autouse=True)
-def _clean_extension_library():
-    """Keep the process-wide extension library isolated between tests."""
-    reset_global_library()
-    yield
-    reset_global_library()
-
 
 @pytest.fixture(scope="session")
 def kernel_module():

@@ -8,17 +8,21 @@ import pytest
 from repro.arch import CustomOperation, risc_baseline, vliw4
 from repro.core import (
     Candidate, EnumerationConfig, ExtensionLibrary, IsaCustomizer, Pattern,
-    PatternNode, SelectionConfig, customize_isa, enumerate_block_cuts,
-    global_extension_library, identify_candidates, pattern_from_cut,
+    PatternError, PatternNode, SelectionConfig, customize_isa, enumerate_block_cuts,
+    identify_candidates, pattern_from_cut,
     rewrite_with_library, select, select_greedy, select_knapsack,
 )
 from repro.core.rewrite import custom_op_usage
+from repro.exec import make_functional_simulator
+from repro.exec.registry import FUNCTIONAL_ENGINES
 from repro.frontend import compile_c
 from repro.ir import Opcode, assert_valid, build_dataflow_graph
 from repro.opt import optimize
 from repro.sim import CycleSimulator, FunctionalSimulator
 from repro.backend import compile_module
 from repro.workloads import get_kernel
+
+from _shared import arg_copies
 
 
 def make_mac_pattern() -> Pattern:
@@ -78,6 +82,28 @@ class TestPatterns:
         assert len(outputs) == 1
         # |a - b| for a=9, b=4 and a=4, b=9.
         assert pattern.evaluate([9, 4]) == 5 or pattern.evaluate([4, 9]) == 5
+
+
+class TestExtensionLibrary:
+    def test_unnamed_pattern_is_named_from_its_content(self):
+        # The name is sha256 of the signature "3|add(i2,mul(i0,i1))": the
+        # same in every process, whatever PYTHONHASHSEED is.
+        unnamed = Pattern(list(make_mac_pattern().nodes), outputs=[1],
+                          num_inputs=3)
+        assert unnamed.name == "cop_b5601a5387e33704"
+
+    def test_name_collision_raises_and_reregistration_is_idempotent(self):
+        library = ExtensionLibrary()
+        mac = make_mac_pattern()
+        library.register(mac)
+        library.register(make_mac_pattern())
+        assert library.names() == ["mac"]
+        impostor = Pattern([PatternNode(Opcode.SUB, (("in", 0), ("in", 1)))],
+                           outputs=[0], num_inputs=2, name="mac")
+        with pytest.raises(PatternError, match="already held"):
+            library.register(impostor)
+        assert library.entry("mac").pattern is not impostor
+        assert library.find_by_signature(impostor.signature()) is None
 
 
 class TestIdentification:
@@ -248,14 +274,29 @@ class TestRewriteAndCustomizer:
         rewritten = rewrite_with_library(recipient, library,
                                          EnumerationConfig(max_outputs=1))
         assert sum(rewritten.values()) > 0
-        # Register entries globally so the simulator can execute them.
-        for entry in library:
-            if entry.name not in global_extension_library():
-                global_extension_library().register(entry.pattern, entry.operation)
+        assert set(recipient.custom_ops) == set(rewritten)
         a = [5, -3, 10, 0]
         b = [2, 4, -10, 0]
         value = FunctionalSimulator(recipient).run("absdiff_sum", a, b, 4)
         assert value == sum(abs(x - y) for x, y in zip(a, b))
+
+    def test_customized_module_carries_its_semantics_to_every_engine(self):
+        # A private library: nothing process-wide holds the new ops, so
+        # every engine must find their semantics on the module itself.
+        kernel = get_kernel("sad16")
+        module = compile_c(kernel.source)
+        optimize(module, level=3)
+        result = IsaCustomizer(vliw4(), library=ExtensionLibrary()).customize(module)
+        args = kernel.arguments(16, seed=7)
+        expected = kernel.expected(args)
+        for engine in FUNCTIONAL_ENGINES:
+            simulator = make_functional_simulator(module.clone(), engine=engine)
+            assert simulator.run(kernel.entry, *arg_copies(args)) == expected
+        compiled, _ = compile_module(module, result.machine)
+        cycle = CycleSimulator(compiled).run(kernel.entry, *arg_copies(args))
+        assert cycle.value == expected
+        assert cycle.stats.custom_ops_executed > 0
+        assert set(module.custom_ops) == set(custom_op_usage(module))
 
     def test_area_customization_shares_budget_across_kernels(self):
         mix_modules = []

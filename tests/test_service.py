@@ -26,7 +26,7 @@ from repro.service import (
     cell_key, merge_matrix, shard_matrix,
 )
 from repro.service import protocol
-from repro.service.diskstore import QUARANTINE_DIR
+from repro.service.diskstore import FORMAT_MAGIC, QUARANTINE_DIR
 from repro.service.tasks import shard_population
 
 MACHINES = ["vliw4", "risc32"]
@@ -135,12 +135,21 @@ class TestDiskStore:
         blob = open(path, "rb").read()
         with open(path, "wb") as handle:  # flip bytes in the pickle body
             handle.write(blob[:-3] + b"zzz")
+        # An intact entry written under the previous format magic (its
+        # pickled Modules predate Module.custom_ops) is stale, not usable.
+        store.put("backend", "old", [1, 2, 3])
+        old_path = store._disk_path("backend", "old")
+        old_blob = open(old_path, "rb").read()
+        with open(old_path, "wb") as handle:
+            handle.write(old_blob.replace(FORMAT_MAGIC, b"repro-art1", 1))
         fresh = DiskArtifactStore(str(tmp_path / "s"))
         assert fresh.get("backend", "bad") is None
-        assert fresh.stats("backend").corrupt == 1
+        assert fresh.get("backend", "old") is None
+        assert fresh.stats("backend").corrupt == 2
         assert not os.path.exists(path)
-        quarantined = os.listdir(tmp_path / "s" / QUARANTINE_DIR)
-        assert quarantined == ["backend__bad.art"]
+        assert not os.path.exists(old_path)
+        quarantined = sorted(os.listdir(tmp_path / "s" / QUARANTINE_DIR))
+        assert quarantined == ["backend__bad.art", "backend__old.art"]
         # A recompute can re-populate the slot afterwards.
         fresh.put("backend", "bad", [1, 2, 3])
         assert fresh.get("backend", "bad").payload == [1, 2, 3]

@@ -3,9 +3,11 @@ design-space exploration, ISA drift, economics models, workloads."""
 
 from __future__ import annotations
 
+import threading
+
 import pytest
 
-from repro.arch import IsaFamily, risc_baseline, vliw2, vliw4, vliw8
+from repro.arch import IsaFamily, OperationClass, risc_baseline, vliw2, vliw4, vliw8
 from repro.backend import compile_module
 from repro.drift import (
     BinaryTranslator, CodeCache, StagedExecutionModel, assess, expand_custom_ops,
@@ -21,10 +23,11 @@ from repro.econ import (
     integration_advantage, matches_published_ratios, reference_set_top_design,
     unit_cost, unit_price,
 )
-from repro.core import customize_isa, global_extension_library
+from repro.core import customize_isa
 from repro.frontend import compile_c
 from repro.opt import optimize
-from repro.sim import CycleSimulator
+from repro.pipeline import CompilePipeline
+from repro.sim import CycleSimulator, SimulationError
 from repro.toolchain import Toolchain, run_matrix
 from repro.workloads import DOMAINS, KERNELS, compile_kernel, get_kernel, get_mix
 
@@ -159,6 +162,74 @@ class TestDesignSpaceExploration:
         assert reference.speedup == pytest.approx(1.0)
 
 
+class TestEvaluationFailures:
+    def test_machine_without_multiplier_is_infeasible(self):
+        machine = risc_baseline("risc_nomul")
+        machine.functional_units = [fu for fu in machine.functional_units
+                                    if OperationClass.IMUL not in fu.classes]
+        evaluator = Evaluator(get_mix("medical"), size=8,
+                              pipeline=CompilePipeline())
+        evaluation = evaluator.evaluate(machine)
+        assert not evaluation.feasible
+        assert [m.cycles for m in evaluation.measurements] == [0, 0]
+
+    def test_simulation_error_propagates_out_of_evaluate(self):
+        evaluator = Evaluator(get_mix("network"), size=8,
+                              pipeline=CompilePipeline())
+
+        def broken_backend(module, machine):
+            raise SimulationError("injected fault")
+
+        evaluator.pipeline.backend = broken_backend
+        with pytest.raises(SimulationError, match="injected fault"):
+            evaluator.evaluate(vliw4())
+
+    def test_interleaved_customized_evaluations_match_serial(self):
+        # Thread A parks in its first backend call until B reaches B's
+        # first call; B then parks until A's evaluate has returned, so B
+        # simulates its customized kernels after A is completely done.
+        evaluator = Evaluator(get_mix("network"), size=8,
+                              pipeline=CompilePipeline())
+        serial = evaluator.evaluate(vliw4(), custom_area_budget=30.0)
+        assert serial.feasible and serial.custom_ops > 0
+
+        backend = evaluator.pipeline.backend
+        a_in_backend = threading.Event()
+        b_in_backend = threading.Event()
+        a_returned = threading.Event()
+        first_call_seen = set()
+
+        def gated_backend(module, machine):
+            me = threading.current_thread().name
+            if me not in first_call_seen:
+                first_call_seen.add(me)
+                if me == "A":
+                    a_in_backend.set()
+                    b_in_backend.wait(60)
+                else:
+                    b_in_backend.set()
+                    a_returned.wait(60)
+            return backend(module, machine)
+
+        evaluator.pipeline.backend = gated_backend
+        results = {}
+
+        def evaluate(name):
+            results[name] = evaluator.evaluate(vliw4(), custom_area_budget=30.0)
+            if name == "A":
+                a_returned.set()
+
+        thread_a = threading.Thread(target=evaluate, args=("A",), name="A")
+        thread_a.start()
+        assert a_in_backend.wait(60)
+        thread_b = threading.Thread(target=evaluate, args=("B",), name="B")
+        thread_b.start()
+        thread_a.join(120)
+        thread_b.join(120)
+        assert results["A"].measurements == serial.measurements
+        assert results["B"].measurements == serial.measurements
+
+
 class TestIsaDrift:
     def _customized_program(self):
         kernel = get_kernel("saturated_add")
@@ -172,7 +243,7 @@ class TestIsaDrift:
 
     def test_expand_custom_ops_restores_primitives(self):
         kernel, module, result, _compiled = self._customized_program()
-        expanded = expand_custom_ops(module, global_extension_library(), supported=set())
+        expanded = expand_custom_ops(module, supported=set())
         assert expanded > 0
         from repro.ir import Opcode
 
